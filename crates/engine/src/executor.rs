@@ -156,10 +156,14 @@ type GroupUniverse = (Vec<GroupKey>, HashMap<Vec<u32>, usize>);
 /// ([`BlockSource::distinct_group_tuples`] walks blocks `0..n` in storage
 /// order, so an in-memory scramble and the segment it was saved to
 /// enumerate identical universes — a requirement for bit-identical
-/// results). Not counted against the blocks-fetched metric. For lazy
-/// sources the first grouped query pays one full decode pass; the segment
-/// reader memoizes the tuples so later grouped queries do not re-decode the
-/// file.
+/// results). Not counted against the blocks-fetched metric.
+///
+/// Enumeration is lazy: the first grouped query of each GROUP BY shape pays
+/// at most one O(rows) pass over the GROUP BY columns, with no per-row
+/// allocation, ending once every possible tuple has appeared; both backings
+/// memoize the tuples in the store, so later queries of
+/// that shape — through any session or wrapper over the same source — only
+/// rebuild the labels and the lookup here.
 fn enumerate_groups(source: &dyn BlockSource, group_cols: &[usize]) -> EngineResult<GroupUniverse> {
     if group_cols.is_empty() {
         let key = GroupKey::global();

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use crate::bitmap::BlockBitmapIndex;
 use crate::block::{BlockId, BlockLayout, DEFAULT_BLOCK_SIZE};
 use crate::catalog::Catalog;
-use crate::source::{BlockRef, BlockSource};
+use crate::source::{distinct_tuples, BlockRef, BlockSource, GroupUniverseMemo};
 use crate::table::{StoreResult, Table};
 use crate::zone::ZoneMap;
 
@@ -34,6 +34,8 @@ pub struct Scramble {
     indexes: HashMap<String, BlockBitmapIndex>,
     zones: HashMap<String, ZoneMap>,
     seed: u64,
+    /// Group universes enumerated so far; clones share it.
+    group_memo: GroupUniverseMemo,
 }
 
 impl Scramble {
@@ -76,6 +78,7 @@ impl Scramble {
             indexes,
             zones,
             seed,
+            group_memo: GroupUniverseMemo::default(),
         })
     }
 
@@ -99,6 +102,7 @@ impl Scramble {
             indexes,
             zones,
             seed,
+            group_memo: GroupUniverseMemo::default(),
         }
     }
 
@@ -189,6 +193,14 @@ impl BlockSource for Scramble {
 
     fn read_block(&self, block: BlockId) -> StoreResult<BlockRef<'_>> {
         Ok(BlockRef::borrowed(&self.table, self.layout.rows_of(block)))
+    }
+
+    fn distinct_group_tuples(&self, columns: &[usize]) -> StoreResult<Vec<Vec<u32>>> {
+        // Rows are stored in block order, so the whole table is one block.
+        let whole = BlockRef::borrowed(&self.table, 0..self.table.num_rows());
+        self.group_memo.get_or_enumerate(columns, || {
+            distinct_tuples(&self.table, columns, [Ok(whole)])
+        })
     }
 }
 
@@ -339,5 +351,23 @@ mod tests {
         assert_eq!(s.num_blocks(), 5);
         assert_eq!(s.block_rows(BlockId(4)), 100..101);
         assert_eq!(s.layout().block_size(), 25);
+    }
+
+    #[test]
+    fn clones_share_the_group_universe_memo() {
+        let t = table(300);
+        let a = Scramble::build_with(&t, 3, 25, 0.0).unwrap();
+        let b = a.clone();
+        let universe = a.distinct_group_tuples(&[1]).unwrap();
+        assert_eq!(universe.len(), 7);
+        // The clone answers from the memo its original filled...
+        let hit = b
+            .group_memo
+            .get_or_enumerate(&[1], || unreachable!("memo hit expected"));
+        assert_eq!(hit.unwrap(), universe);
+        // ...and a scramble rebuilt from the same data enumerates afresh to
+        // the same tuples.
+        let rebuilt = Scramble::build_with(&t, 3, 25, 0.0).unwrap();
+        assert_eq!(rebuilt.distinct_group_tuples(&[1]).unwrap(), universe);
     }
 }

@@ -390,12 +390,26 @@ fn group_universe_is_memoized_and_identical_across_backings() {
     let reader = SegmentReader::open(&path).unwrap();
 
     let cols = [2usize, 3]; // ("g", "flag")
-    let mem = scramble.distinct_group_tuples(&cols).unwrap();
+    let mem_first = scramble.distinct_group_tuples(&cols).unwrap();
+    let mem_cached = scramble.distinct_group_tuples(&cols).unwrap();
     let disk_first = reader.distinct_group_tuples(&cols).unwrap();
     let disk_cached = reader.distinct_group_tuples(&cols).unwrap();
-    assert_eq!(mem, disk_first, "first-appearance order must match");
+    assert_eq!(mem_first, reference_tuples(&scramble, &cols));
+    assert_eq!(mem_first, disk_first, "first-appearance order must match");
+    assert_eq!(mem_first, mem_cached, "memoized result must be identical");
     assert_eq!(disk_first, disk_cached, "memoized result must be identical");
-    assert_eq!(mem.len(), 8, "4 groups × 2 flags all occur");
+    assert_eq!(mem_first.len(), 8, "4 groups × 2 flags all occur");
+    // Clones share the memo, and a fresh reader over the same file
+    // enumerates the same tuples.
+    assert_eq!(
+        scramble.clone().distinct_group_tuples(&cols).unwrap(),
+        mem_first
+    );
+    let reopened = SegmentReader::open(&path).unwrap();
+    assert_eq!(
+        reopened.clone().distinct_group_tuples(&cols).unwrap(),
+        mem_first
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -434,4 +448,152 @@ fn session_backing_rules_are_enforced() {
     session.drop_table("t_disk").unwrap();
     assert!(!session.contains("t_disk"));
     std::fs::remove_file(&path).ok();
+}
+
+/// The per-row `Vec` loop the group-universe kernel replaced, kept as its
+/// reference: allocate and hash every row's tuple, emit it on first insert.
+fn reference_tuples(source: &dyn BlockSource, columns: &[usize]) -> Vec<Vec<u32>> {
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    for block in 0..source.num_blocks() {
+        let block = source.read_block(BlockId(block)).unwrap();
+        for row in block.rows() {
+            let codes: Vec<u32> = columns
+                .iter()
+                .map(|&ci| {
+                    let column = block.table().column_at(ci);
+                    column.category_code(row).unwrap_or(u32::MAX)
+                })
+                .collect();
+            if seen.insert(codes.clone()) {
+                out.push(codes);
+            }
+        }
+    }
+    out
+}
+
+/// Three categorical columns with the given dictionary sizes (every entry
+/// in the dictionary, codes drawn from `draws`) plus a float column.
+fn universe_table(draws: &[u64], cardinalities: [usize; 3]) -> Table {
+    let mut columns: Vec<Column> = cardinalities
+        .iter()
+        .enumerate()
+        .map(|(c, &card)| {
+            let dictionary: Vec<String> = (0..card).map(|i| format!("k{c}_{i}")).collect();
+            let codes = draws
+                .iter()
+                .map(|&d| ((d >> (c * 16)) % card as u64) as u32)
+                .collect();
+            Column::categorical_from_codes(format!("k{c}"), std::sync::Arc::new(dictionary), codes)
+        })
+        .collect();
+    columns.push(Column::float(
+        "x",
+        draws.iter().map(|&d| d as f64).collect(),
+    ));
+    Table::new(columns).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The group-universe kernel returns exactly the reference loop's
+    /// tuples in the same order, on the in-memory scramble (one pass over
+    /// the whole table) and on its segment (block by block), for one to
+    /// three GROUP BY columns, a non-categorical column, single-row blocks
+    /// and final partial blocks — and again from the memo.
+    #[test]
+    fn group_universe_kernel_matches_the_reference_on_both_backings(
+        draws in proptest::collection::vec(0u64..u64::MAX, 1..400),
+        cardinalities in (1usize..12, 1usize..6, 1usize..40),
+        block_size in 1usize..40,
+        shape in 0usize..5,
+    ) {
+        let columns = [&[0usize][..], &[2, 0], &[0, 1, 2], &[3], &[1, 3, 2]][shape];
+        let (a, b, c) = cardinalities;
+        let table = universe_table(&draws, [a, b, c]);
+        let scramble = Scramble::build_with(&table, 7, block_size, 0.0).unwrap();
+        let path = temp_path("universe_prop");
+        write_segment(&scramble, &path).unwrap();
+        let reader = SegmentReader::open(&path).unwrap();
+
+        let expected = reference_tuples(&scramble, columns);
+        prop_assert_eq!(&scramble.distinct_group_tuples(columns).unwrap(), &expected);
+        prop_assert_eq!(&reader.distinct_group_tuples(columns).unwrap(), &expected);
+        prop_assert_eq!(&scramble.distinct_group_tuples(columns).unwrap(), &expected);
+        prop_assert_eq!(&reader.distinct_group_tuples(columns).unwrap(), &expected);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn group_universe_above_the_dense_limit_matches_on_both_backings() {
+    // 4_096 × 4_096 × 2 possible tuples: above the dense bitmap's limit of
+    // 2^24, so the kernel tracks the tuples in a hash set.
+    // Draws repeat every 700 rows, so the hash set must also recognise
+    // tuples it has already seen.
+    let draws: Vec<u64> = (0..3_000u64)
+        .map(|i| (i % 700).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let table = universe_table(&draws, [4_096, 4_096, 2]);
+    for block_size in [1usize, 25] {
+        let scramble = Scramble::build_with(&table, 3, block_size, 0.0).unwrap();
+        let path = temp_path("universe_hashed");
+        write_segment(&scramble, &path).unwrap();
+        let reader = SegmentReader::open(&path).unwrap();
+        let columns = [0usize, 1, 2];
+        let expected = reference_tuples(&scramble, &columns);
+        assert!(
+            expected.len() > 650 && expected.len() <= 700,
+            "{}",
+            expected.len()
+        );
+        assert_eq!(scramble.distinct_group_tuples(&columns).unwrap(), expected);
+        assert_eq!(reader.distinct_group_tuples(&columns).unwrap(), expected);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn cold_and_warm_group_memo_give_bit_identical_answers() {
+    let table = acceptance_table(6_000);
+    for threads in [1usize, 4] {
+        // A fresh session and segment per thread count, so the first query
+        // of each backing runs with a cold memo.
+        let mut session = Session::new();
+        session.register("t", &table).unwrap();
+        let path = temp_path(&format!("warm_memo_{threads}"));
+        session.save_table("t", &path).unwrap();
+        session.open_table("t_disk", &path).unwrap();
+        let config = EngineConfig::builder()
+            .bounder(BounderKind::BernsteinRangeTrim)
+            .strategy(SamplingStrategy::ActivePeek)
+            .delta(1e-9)
+            .round_rows(500)
+            .seed(0x5EED)
+            .threads(threads)
+            .build();
+        let run = |table_name: &str| {
+            session
+                .query(table_name)
+                .avg(Expr::col("v"))
+                .filter(Predicate::num_gt("time", 700.0))
+                .group_by("g")
+                .group_by("flag")
+                .having_gt(20.0)
+                .config(config.clone())
+                .execute()
+                .unwrap()
+        };
+        let mem_cold = run("t");
+        let mem_warm = run("t");
+        let disk_cold = run("t_disk");
+        let disk_warm = run("t_disk");
+        assert_eq!(mem_cold.groups.len(), 8);
+        assert_bit_identical(&mem_cold, &mem_warm);
+        assert_bit_identical(&disk_cold, &disk_warm);
+        assert_bit_identical(&mem_cold, &disk_warm);
+        std::fs::remove_file(&path).ok();
+    }
 }
