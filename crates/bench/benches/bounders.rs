@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks for the error bounders: per-value streaming
-//! update cost and per-round confidence-interval computation cost.
+//! Micro-benchmarks for the error bounders: per-value streaming update cost
+//! and per-round confidence-interval computation cost.
 //!
 //! These support the paper's observation (§5.4.1) that "all error bounders
 //! incur additional overhead", with the Bernstein-based bounders costing the
@@ -7,58 +7,75 @@
 //! once per OptStop round rather than per tuple.
 //!
 //! Run with `cargo bench -p fastframe-bench --bench bounders`.
+//! Environment: `FASTFRAME_BENCH_RUNS` (default 1; the **median** wall time
+//! across runs is reported).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
+use fastframe_bench::{bench_runs, print_header, print_row};
 use fastframe_core::bounder::{BoundContext, BounderKind};
 use fastframe_workloads::synthetic::SyntheticDistribution;
 
-fn bench_update_state(c: &mut Criterion) {
-    let values = SyntheticDistribution::HeavyTail.generate(100_000, 42);
-    let mut group = c.benchmark_group("update_state");
-    group.throughput(Throughput::Elements(values.len() as u64));
-    group.sample_size(20);
-    for kind in BounderKind::EVALUATED {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(kind.label()),
-            &kind,
-            |b, &kind| {
-                b.iter(|| {
-                    let mut est = kind.make_estimator();
-                    for &v in &values {
-                        est.observe(black_box(v));
-                    }
-                    black_box(est.count())
-                });
-            },
-        );
-    }
-    group.finish();
+/// Values fed to every estimator.
+const VALUES: usize = 100_000;
+
+/// Interval computations repeat for at least this long per run (one alone
+/// is too short to time); the run reports the mean per call.
+const INTERVAL_WINDOW: Duration = Duration::from_millis(50);
+
+/// The median over `bench_runs()` runs of `run`, which returns one run's
+/// timing.
+fn median_of_runs(mut run: impl FnMut() -> Duration) -> Duration {
+    let mut walls: Vec<Duration> = (0..bench_runs()).map(|_| run()).collect();
+    walls.sort();
+    walls[walls.len() / 2]
 }
 
-fn bench_interval(c: &mut Criterion) {
-    let values = SyntheticDistribution::HeavyTail.generate(100_000, 7);
+fn main() {
     let (a, b) = SyntheticDistribution::HeavyTail.support();
     let ctx = BoundContext::new(a, b, 10_000_000, 1e-15).expect("valid context");
-    let mut group = c.benchmark_group("interval");
-    group.sample_size(20);
+    let update_values = SyntheticDistribution::HeavyTail.generate(VALUES, 42);
+    let interval_values = SyntheticDistribution::HeavyTail.generate(VALUES, 7);
+
+    println!(
+        "## bounders — {VALUES} heavy-tailed values, median of {} run(s)",
+        bench_runs()
+    );
+    print_header(&["bounder", "update_state", "ns/value", "us/interval"]);
     for kind in BounderKind::ALL {
-        // Pre-populate an estimator once; measure only the CI computation.
+        let update = median_of_runs(|| {
+            let start = Instant::now();
+            let mut est = kind.make_estimator();
+            for &v in &update_values {
+                est.observe(black_box(v));
+            }
+            black_box(est.count());
+            start.elapsed()
+        });
+        // Pre-populate an estimator once; time only the CI computation.
         let mut est = kind.make_estimator();
-        for &v in &values {
+        for &v in &interval_values {
             est.observe(v);
         }
-        group.bench_with_input(
-            BenchmarkId::from_parameter(kind.label()),
-            &kind,
-            |bench, _| {
-                bench.iter(|| black_box(est.interval(black_box(&ctx))));
-            },
-        );
+        let interval = median_of_runs(|| {
+            let start = Instant::now();
+            let mut calls = 0u32;
+            // Read the clock once per batch of calls, so its own cost stays
+            // out of the per-call figure.
+            while start.elapsed() < INTERVAL_WINDOW {
+                for _ in 0..16 {
+                    black_box(est.interval(black_box(&ctx)));
+                }
+                calls += 16;
+            }
+            start.elapsed() / calls
+        });
+        print_row(&[
+            kind.label().to_string(),
+            format!("{:.3}ms", update.as_secs_f64() * 1e3),
+            format!("{:.2}", update.as_nanos() as f64 / VALUES as f64),
+            format!("{:.3}", interval.as_nanos() as f64 / 1e3),
+        ]);
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_update_state, bench_interval);
-criterion_main!(benches);

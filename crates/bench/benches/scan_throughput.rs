@@ -1,31 +1,24 @@
-//! `scan_throughput`: rows/second of the scan/aggregation pipeline for a
-//! selective filter + AVG, with the batch (vectorized) kernels on and off,
-//! on the in-memory and the segment backing.
+//! `scan_throughput`: rows/second of the batch scan/aggregation pipeline for
+//! a selective filter + AVG, on the in-memory and the segment backing, at one
+//! and four scan threads.
 //!
 //! The workload is a full scramble pass (unsatisfiable stopping condition)
 //! of `AVG(v) WHERE flag = 'on' AND time > t` — a selective conjunctive
 //! filter in front of a single-column aggregate, the shape every OptStop
-//! round pays on the paper's critical path. Every configuration scans
-//! exactly the same rows, and the harness asserts the four runs are
-//! bit-for-bit identical in estimates and scan counters before reporting,
-//! so the rows/sec ratio is a pure execution-strategy comparison:
+//! round pays on the paper's critical path: columnar filter kernels into a
+//! selection vector, projection pushdown (the segment backing decodes only
+//! the three referenced columns), group-partitioned `observe_batch` per
+//! block. Every configuration scans exactly the same rows, and the harness
+//! asserts that all of them are bit-for-bit identical in estimates and scan
+//! counters before reporting.
 //!
-//! * **scalar** — the row-at-a-time oracle loop (predicate tree walk,
-//!   per-row group lookup, one virtual `observe` per row): the
-//!   pre-vectorization pipeline;
-//! * **batch** — columnar filter kernels into a selection vector,
-//!   projection pushdown (segment backing decodes only the three referenced
-//!   columns), group-partitioned `observe_batch` per block.
-//!
-//! Results land in `EXPERIMENTS.md`; the acceptance bar for the refactor is
-//! ≥ 2× on this workload.
+//! Results land in `EXPERIMENTS.md`.
 //!
 //! Run with `cargo bench -p fastframe-bench --bench scan_throughput`.
 //! Environment: `FASTFRAME_ROWS` (default 1 000 000), `FASTFRAME_SEED`,
 //! `FASTFRAME_BENCH_RUNS` (default 5; the **median** wall time is
 //! reported, which is robust to scheduler noise at millisecond-scale
-//! runs), `FASTFRAME_THREADS` (pool size, default 1 so the comparison
-//! isolates the inner loop).
+//! runs).
 
 use std::time::{Duration, Instant};
 
@@ -46,7 +39,7 @@ const DISK: &str = "disk";
 /// categorical whose `flag = 'on'` arm selects 1/16 of the rows, plus three
 /// padding float columns the query never touches — the realistic wide-table
 /// shape where projection pushdown earns its keep on the lazy backing (the
-/// batch path decodes 3 of 6 columns, the scalar oracle decodes all 6).
+/// scan decodes 3 of 6 columns).
 fn dataset(rows: usize, seed: u64) -> Table {
     let mut values = Vec::with_capacity(rows);
     let mut times = Vec::with_capacity(rows);
@@ -80,7 +73,7 @@ fn dataset(rows: usize, seed: u64) -> Table {
     Table::new(columns).unwrap()
 }
 
-fn config(vectorize: bool, threads: usize, rows: usize) -> EngineConfig {
+fn config(threads: usize, rows: usize) -> EngineConfig {
     EngineConfig::builder()
         .bounder(BounderKind::BernsteinRangeTrim)
         .strategy(SamplingStrategy::Scan)
@@ -88,7 +81,6 @@ fn config(vectorize: bool, threads: usize, rows: usize) -> EngineConfig {
         .round_rows((rows as u64 / 4).max(10_000))
         .start_block(0)
         .threads(threads)
-        .vectorize(vectorize)
         .build()
 }
 
@@ -121,8 +113,7 @@ fn assert_identical(a: &QueryResult, b: &QueryResult, what: &str) {
 fn main() {
     let rows = env_or("FASTFRAME_ROWS", 1_000_000usize);
     let seed = env_or("FASTFRAME_SEED", 0x5eedu64);
-    let runs = env_or("FASTFRAME_BENCH_RUNS", 5usize);
-    let threads = env_or("FASTFRAME_THREADS", 1usize);
+    let runs = env_or("FASTFRAME_BENCH_RUNS", 5usize).max(1);
 
     eprintln!("# scan_throughput: building {rows}-row dataset ...");
     let table = dataset(rows, seed);
@@ -135,61 +126,39 @@ fn main() {
     session.save_table(MEM, &path).unwrap();
     session.open_table(DISK, &path).unwrap();
 
-    println!("## scan_throughput — selective filter + AVG, full pass, {rows} rows, {threads} thread(s), median of {runs}");
-    print_header(&[
-        "backing",
-        "path",
-        "wall",
-        "rows/sec",
-        "selected",
-        "speedup vs scalar",
-    ]);
+    println!(
+        "## scan_throughput — selective filter + AVG, full pass, {rows} rows, median of {runs}"
+    );
+    print_header(&["backing", "threads", "wall", "rows/sec", "selected"]);
 
-    let mut baseline: Option<(QueryResult, Duration)> = None;
+    let mut reference: Option<QueryResult> = None;
     for backing in [MEM, DISK] {
-        // Interleave the two modes within each repetition so slow drift in
-        // container load (the runs are milliseconds each) biases neither
-        // side; report the per-mode median.
-        let mut walls: [Vec<Duration>; 2] = [Vec::with_capacity(runs), Vec::with_capacity(runs)];
-        let mut results: [Option<QueryResult>; 2] = [None, None];
-        for _ in 0..runs {
-            for (slot, vectorize) in [false, true].into_iter().enumerate() {
-                let cfg = config(vectorize, threads, rows);
+        for threads in [1usize, 4] {
+            let cfg = config(threads, rows);
+            let mut walls = Vec::with_capacity(runs);
+            let mut result = None;
+            for _ in 0..runs {
                 let (r, wall) = run(&session, backing, &cfg);
-                walls[slot].push(wall);
-                results[slot] = Some(r);
+                walls.push(wall);
+                result = Some(r);
             }
-        }
-        let mut per_mode: Vec<(bool, QueryResult, Duration)> = Vec::new();
-        for (slot, vectorize) in [false, true].into_iter().enumerate() {
-            walls[slot].sort();
-            let wall = walls[slot][runs / 2];
-            let result = results[slot].take().expect("at least one run");
-            per_mode.push((vectorize, result, wall));
-        }
-        // Identity first: the comparison is only meaningful if the paths
-        // agree bit-for-bit (and both backings must agree with each other).
-        let scalar = &per_mode[0];
-        let batch = &per_mode[1];
-        assert_identical(&scalar.1, &batch.1, backing);
-        if let Some((ref b, _)) = baseline {
-            assert_identical(b, &scalar.1, "cross-backing");
-        }
-        for (vectorize, result, wall) in &per_mode {
+            walls.sort();
+            let wall = walls[runs / 2];
+            let result = result.expect("at least one run");
+            // The rates are only comparable if every cell scans the same
+            // rows to the same answer.
+            match &reference {
+                Some(r) => assert_identical(r, &result, &format!("{backing}/threads={threads}")),
+                None => reference = Some(result.clone()),
+            }
             let scanned = result.metrics.scan.rows_scanned;
-            let rate = scanned as f64 / wall.as_secs_f64();
-            let speedup = scalar.2.as_secs_f64() / wall.as_secs_f64();
             print_row(&[
                 backing.to_string(),
-                if *vectorize { "batch" } else { "scalar" }.to_string(),
+                threads.to_string(),
                 format!("{:.3}s", wall.as_secs_f64()),
-                format!("{:.2}M", rate / 1e6),
+                format!("{:.2}M", scanned as f64 / wall.as_secs_f64() / 1e6),
                 format!("{}", result.metrics.scan.rows_selected),
-                format!("{speedup:.2}x"),
             ]);
-        }
-        if baseline.is_none() {
-            baseline = Some((scalar.1.clone(), scalar.2));
         }
     }
     std::fs::remove_file(&path).ok();

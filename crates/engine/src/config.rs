@@ -92,19 +92,6 @@ pub struct EngineConfig {
     /// partial states are merged in block-id order, so estimates, variances
     /// and CI bounds are bit-for-bit identical at any setting.
     pub threads: usize,
-    /// Whether scan workers execute with the vectorized batch kernels
-    /// (columnar predicate filters over selection vectors, per-view batch
-    /// aggregate updates, projection pushdown on lazy sources) or the scalar
-    /// row-at-a-time pipeline. `None` (the default) resolves at execution
-    /// time to the `FASTFRAME_VECTORIZE` environment variable — `0`, `off`,
-    /// `false` or `no` select the scalar path — and otherwise to **on**; see
-    /// [`EngineConfig::effective_vectorize`].
-    ///
-    /// The setting never changes query *results*: both paths feed every
-    /// aggregate view the same values in the same (ascending row) order, so
-    /// estimates, CI bounds and scan counters are bit-for-bit identical.
-    /// The scalar path is kept as a differential-testing oracle.
-    pub vectorize: Option<bool>,
 }
 
 impl Default for EngineConfig {
@@ -119,7 +106,6 @@ impl Default for EngineConfig {
             start_block: None,
             seed: 0x5eed,
             threads: 0,
-            vectorize: None,
         }
     }
 }
@@ -202,32 +188,6 @@ impl EngineConfig {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
-    }
-
-    /// Pins batch (vectorized) execution on or off, overriding the
-    /// `FASTFRAME_VECTORIZE` environment default (see
-    /// [`Self::effective_vectorize`]).
-    #[must_use = "this returns the modified value; the receiver is consumed"]
-    pub fn vectorize(mut self, vectorize: bool) -> Self {
-        self.vectorize = Some(vectorize);
-        self
-    }
-
-    /// Resolves the effective execution mode: an explicit
-    /// [`Self::vectorize`] wins; otherwise the `FASTFRAME_VECTORIZE`
-    /// environment variable (`0` / `off` / `false` / `no` select the scalar
-    /// oracle path); otherwise batch execution.
-    pub fn effective_vectorize(&self) -> bool {
-        if let Some(v) = self.vectorize {
-            return v;
-        }
-        match std::env::var("FASTFRAME_VECTORIZE") {
-            Ok(v) => !matches!(
-                v.to_ascii_lowercase().as_str(),
-                "0" | "off" | "false" | "no"
-            ),
-            Err(_) => true,
-        }
     }
 
     /// Resolves the effective scan thread count: an explicit
@@ -331,14 +291,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Pins batch (vectorized) execution on or off (see
-    /// [`EngineConfig::effective_vectorize`]).
-    #[must_use = "this returns the modified value; the receiver is consumed"]
-    pub fn vectorize(mut self, vectorize: bool) -> Self {
-        self.config.vectorize = Some(vectorize);
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(self) -> EngineConfig {
         self.config
@@ -416,18 +368,6 @@ mod tests {
             c2.delta, 0.05,
             "to_builder starts from the overridden config"
         );
-    }
-
-    #[test]
-    fn explicit_vectorize_overrides_env_resolution() {
-        let c = EngineConfig::default();
-        assert_eq!(c.vectorize, None, "vectorize defaults to auto");
-        let on = EngineConfig::builder().vectorize(true).build();
-        assert_eq!(on.vectorize, Some(true));
-        assert!(on.effective_vectorize());
-        let off = EngineConfig::default().vectorize(false);
-        assert_eq!(off.vectorize, Some(false));
-        assert!(!off.effective_vectorize());
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! Execution is *progressive*: [`execute_progressive`] emits a [`Snapshot`]
 //! of every group's running interval after each round, honours the
 //! cancellation caps of a [`Budget`], and lets a per-round observer stop the
-//! scan ([`RoundControl`]). The blocking [`execute_approx`] simply drains
-//! that stream and keeps the finalized [`QueryResult`].
+//! scan ([`RoundControl`]). Blocking execution
+//! ([`PreparedQuery::execute`](crate::session::PreparedQuery::execute)) runs
+//! the same loop without an observer — no snapshots are materialized — and
+//! keeps the finalized [`QueryResult`].
 //!
 //! The executor reads data exclusively through the [`BlockSource`] scan
 //! abstraction: the in-memory [`Scramble`](fastframe_store::scramble::Scramble)
@@ -44,15 +46,12 @@
 //! (before any worker sees them), so `max_rows` is never exceeded under
 //! concurrency.
 //!
-//! Within each partition, blocks execute **batch-at-a-time** by default
-//! ([`EngineConfig::vectorize`]): the predicate runs as a columnar filter
-//! kernel emitting a selection vector, only the columns the query
-//! references are decoded (projection pushdown on lazy sources), selected
-//! rows are partitioned by group id once, and each aggregate view receives
-//! one contiguous batch of values per block. The scalar row-at-a-time loop
-//! is retained as a differential-testing oracle; both paths feed every view
-//! its values in ascending row order and therefore produce bit-identical
-//! estimates, CI bounds and scan counters (see `crate::parallel`).
+//! Within each partition, blocks execute **batch-at-a-time**: the predicate
+//! runs as a columnar filter kernel emitting a selection vector, only the
+//! columns the query references are decoded (projection pushdown on lazy
+//! sources), selected rows are partitioned by group id once, and each
+//! aggregate view receives one contiguous batch of values per block, in
+//! ascending row order (see `crate::parallel`).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -93,11 +92,32 @@ type BatchPlannerFn<'a> =
 pub(crate) struct BoundQuery {
     pub(crate) target: BoundExpr,
     pub(crate) predicate: BoundPredicate,
-    group_cols: Vec<usize>,
+    pub(crate) group_cols: Vec<usize>,
     range: (f64, f64),
     predicate_eq: Option<(String, u32)>,
     /// Upper bound on the number of aggregate views, used to split δ.
     view_parts: usize,
+}
+
+impl BoundQuery {
+    /// The columns the query reads (target ∪ predicate ∪ group-by), in
+    /// ascending order: pushed down to the block source so lazy backings
+    /// decode only referenced chunks.
+    pub(crate) fn projection(&self) -> Vec<usize> {
+        let mut cols = self.target.referenced_columns();
+        for c in self
+            .predicate
+            .referenced_columns()
+            .into_iter()
+            .chain(self.group_cols.iter().copied())
+        {
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        }
+        cols.sort_unstable();
+        cols
+    }
 }
 
 pub(crate) fn bind_query(source: &dyn BlockSource, query: &AggQuery) -> EngineResult<BoundQuery> {
@@ -164,7 +184,10 @@ type GroupUniverse = (Vec<GroupKey>, HashMap<Vec<u32>, usize>);
 /// memoize the tuples in the store, so later queries of
 /// that shape — through any session or wrapper over the same source — only
 /// rebuild the labels and the lookup here.
-fn enumerate_groups(source: &dyn BlockSource, group_cols: &[usize]) -> EngineResult<GroupUniverse> {
+pub(crate) fn enumerate_groups(
+    source: &dyn BlockSource,
+    group_cols: &[usize],
+) -> EngineResult<GroupUniverse> {
     if group_cols.is_empty() {
         let key = GroupKey::global();
         let mut lookup = HashMap::new();
@@ -217,7 +240,11 @@ pub(crate) enum GroupLookup {
 }
 
 impl GroupLookup {
-    fn build(group_cols: &[usize], table: &Table, lookup: HashMap<Vec<u32>, usize>) -> Self {
+    pub(crate) fn build(
+        group_cols: &[usize],
+        table: &Table,
+        lookup: HashMap<Vec<u32>, usize>,
+    ) -> Self {
         match group_cols {
             [] => GroupLookup::Global,
             [column] => {
@@ -271,8 +298,7 @@ impl GroupLookup {
                     // A column with no code at this row (it is not
                     // categorical) means the row belongs to no group — made
                     // explicit here rather than smuggled through a
-                    // `u32::MAX` sentinel key, so the scalar and batch
-                    // paths agree by construction. (Binding rejects
+                    // `u32::MAX` sentinel key. (Binding rejects
                     // non-categorical GROUP BY columns, so this is a
                     // defensive invariant, not a reachable fallback.)
                     match table.column_at(ci).category_code(row) {
@@ -358,29 +384,6 @@ impl ProgressiveSink<'_, '_> {
     }
 }
 
-/// Executes `query` approximately with early stopping, blocking until the
-/// stopping condition is satisfied or the scramble is exhausted — the
-/// drained form of the progressive stream, with an unlimited [`Budget`].
-pub fn execute_approx(
-    source: &dyn BlockSource,
-    query: &AggQuery,
-    config: &EngineConfig,
-) -> EngineResult<QueryResult> {
-    execute_budgeted(source, query, config, &Budget::unlimited())
-}
-
-/// Executes `query` approximately with early stopping and the caps of
-/// `budget`, blocking for the final (possibly unconverged) result. No
-/// per-round snapshots are materialized.
-pub fn execute_budgeted(
-    source: &dyn BlockSource,
-    query: &AggQuery,
-    config: &EngineConfig,
-    budget: &Budget,
-) -> EngineResult<QueryResult> {
-    run_progressive(source, query, config, budget, None).map(ProgressiveResult::into_result)
-}
-
 /// Executes an approximate query over a block source progressively: after
 /// every OptStop round the current per-group state is snapshotted, appended
 /// to the returned [`ProgressiveResult`], and offered to `observer`, which
@@ -394,13 +397,13 @@ pub fn execute_progressive(
     budget: &Budget,
     observer: &mut RoundObserver<'_>,
 ) -> EngineResult<ProgressiveResult> {
-    run_progressive(source, query, config, budget, Some(observer))
+    run(source, query, config, budget, Some(observer))
 }
 
-/// Shared implementation of the blocking and progressive execution modes:
-/// `observer` being `None` selects blocking mode, which skips snapshot
-/// materialization entirely.
-fn run_progressive(
+/// The one way a query runs, blocking or progressive: `observer` being
+/// `None` selects blocking mode, which skips snapshot materialization
+/// entirely.
+pub(crate) fn run(
     source: &dyn BlockSource,
     query: &AggQuery,
     config: &EngineConfig,
@@ -470,26 +473,6 @@ fn run_progressive(
     // `crate::parallel`). `threads` is the pool size actually used (clamped
     // to the per-round partition cap), so metrics report reality.
     let threads = crate::parallel::effective_pool_size(config.effective_threads());
-    // The columns the query actually reads (target ∪ predicate ∪ group-by),
-    // in ascending order: the batch path pushes this projection down to the
-    // block source so lazy backings decode only referenced chunks. The
-    // scalar oracle path reads full blocks, exactly as it always has.
-    let vectorize = config.effective_vectorize();
-    let projection = vectorize.then(|| {
-        let mut cols = bound.target.referenced_columns();
-        for c in bound
-            .predicate
-            .referenced_columns()
-            .into_iter()
-            .chain(bound.group_cols.iter().copied())
-        {
-            if !cols.contains(&c) {
-                cols.push(c);
-            }
-        }
-        cols.sort_unstable();
-        cols
-    });
     let scan_ctx = ScanContext {
         source,
         bound: &bound,
@@ -497,8 +480,7 @@ fn run_progressive(
         bounder: config.bounder,
         lookup: &lookup,
         num_views,
-        vectorize,
-        projection,
+        projection: bound.projection(),
     };
 
     // Numeric range conjuncts feed zone-map block skipping (all strategies).
@@ -919,6 +901,15 @@ mod tests {
             .start_block(0)
     }
 
+    /// Blocking execution with an unlimited budget.
+    fn run_blocking(
+        source: &dyn BlockSource,
+        query: &AggQuery,
+        config: &EngineConfig,
+    ) -> EngineResult<QueryResult> {
+        run(source, query, config, &Budget::unlimited(), None).map(ProgressiveResult::into_result)
+    }
+
     #[test]
     fn ungrouped_avg_with_relative_error_stops_early_and_is_close() {
         let s = test_scramble();
@@ -926,7 +917,7 @@ mod tests {
             .relative_error(0.2)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_blocking(&s, &q, &cfg).unwrap();
         assert_eq!(r.groups.len(), 1);
         let g = r.global().unwrap();
         // True mean ≈ (5 + 5 + 20 + 40)/4 = 17.5 plus a negligible outlier
@@ -949,7 +940,7 @@ mod tests {
             BounderKind::BernsteinRangeTrim,
             SamplingStrategy::ActiveSync,
         );
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_blocking(&s, &q, &cfg).unwrap();
         let mut selected = r.selected_labels();
         selected.sort();
         assert_eq!(selected, vec!["BB".to_string(), "CC".to_string()]);
@@ -967,7 +958,7 @@ mod tests {
             BounderKind::BernsteinRangeTrim,
             SamplingStrategy::ActivePeek,
         );
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_blocking(&s, &q, &cfg).unwrap();
         assert_eq!(r.selected_labels(), vec!["CC".to_string()]);
     }
 
@@ -980,7 +971,7 @@ mod tests {
             .build();
         for strategy in SamplingStrategy::ALL {
             let cfg = fast_config(BounderKind::BernsteinRangeTrim, strategy);
-            let r = execute_approx(&s, &q, &cfg).unwrap();
+            let r = run_blocking(&s, &q, &cfg).unwrap();
             assert_eq!(
                 r.selected_labels(),
                 vec!["AA".to_string()],
@@ -998,13 +989,13 @@ mod tests {
             .group_by("airline")
             .having_gt(15.0)
             .build();
-        let hoef = execute_approx(
+        let hoef = run_blocking(
             &s,
             &q,
             &fast_config(BounderKind::Hoeffding, SamplingStrategy::Scan),
         )
         .unwrap();
-        let bern = execute_approx(
+        let bern = run_blocking(
             &s,
             &q,
             &fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan),
@@ -1039,7 +1030,7 @@ mod tests {
             .relative_error(0.2)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_blocking(&s, &q, &cfg).unwrap();
         let est = r.global().unwrap().estimate.unwrap();
         assert!((est - 20.0).abs() < 2.0, "estimate {est}");
     }
@@ -1052,7 +1043,7 @@ mod tests {
             .relative_error(0.1)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_blocking(&s, &q, &cfg).unwrap();
         let g = r.global().unwrap();
         // A quarter of 20_000 rows are "BB".
         assert!(g.ci.contains(5_000.0), "{:?}", g.ci);
@@ -1066,7 +1057,7 @@ mod tests {
             .relative_error(0.25)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_blocking(&s, &q, &cfg).unwrap();
         let g = r.global().unwrap();
         // Compare against the exact SUM over the AA rows (row 1234, the
         // outlier, is a "BB" row, so it does not contribute).
@@ -1094,7 +1085,7 @@ mod tests {
             })
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_blocking(&s, &q, &cfg).unwrap();
         let g = r.global().unwrap();
         assert!(
             g.ci.lo > 10.0,
@@ -1113,7 +1104,7 @@ mod tests {
             .absolute_width(0.0)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_blocking(&s, &q, &cfg).unwrap();
         assert!(!r.converged);
         for g in &r.groups {
             assert!(g.exact);
@@ -1143,7 +1134,7 @@ mod tests {
         let q = AggQuery::avg("q", Expr::col("x")).build();
         let cfg = EngineConfig::default();
         assert!(matches!(
-            execute_approx(&s, &q, &cfg),
+            run_blocking(&s, &q, &cfg),
             Err(EngineError::EmptyScramble)
         ));
     }
@@ -1156,7 +1147,7 @@ mod tests {
             .build();
         let cfg = EngineConfig::default();
         assert!(matches!(
-            execute_approx(&s, &q, &cfg),
+            run_blocking(&s, &q, &cfg),
             Err(EngineError::InvalidGroupBy { .. })
         ));
     }
@@ -1168,7 +1159,7 @@ mod tests {
             .relative_error(0.3)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let r = execute_approx(&s, &q, &cfg).unwrap();
+        let r = run_blocking(&s, &q, &cfg).unwrap();
         assert!(r.metrics.blocks_fetched() > 0);
         assert!(r.metrics.scan.rows_scanned > 0);
         assert!(r.metrics.rounds >= 1);
@@ -1304,7 +1295,7 @@ mod tests {
             .having_gt(15.0)
             .build();
         let cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
-        let blocking = execute_approx(&s, &q, &cfg).unwrap();
+        let blocking = run_blocking(&s, &q, &cfg).unwrap();
         let mut observer = |_: &Snapshot| RoundControl::Continue;
         let progressive =
             execute_progressive(&s, &q, &cfg, &Budget::unlimited(), &mut observer).unwrap();
@@ -1327,8 +1318,8 @@ mod tests {
         let mut cfg = fast_config(BounderKind::BernsteinRangeTrim, SamplingStrategy::Scan);
         cfg.start_block = None;
         cfg.seed = 123;
-        let a = execute_approx(&s, &q, &cfg).unwrap();
-        let b = execute_approx(&s, &q, &cfg).unwrap();
+        let a = run_blocking(&s, &q, &cfg).unwrap();
+        let b = run_blocking(&s, &q, &cfg).unwrap();
         assert_eq!(a.global().unwrap().estimate, b.global().unwrap().estimate);
         assert_eq!(a.metrics.blocks_fetched(), b.metrics.blocks_fetched());
     }

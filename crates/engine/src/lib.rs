@@ -67,9 +67,11 @@
 //! assert!(!progressive.converged());   // a valid, merely unconverged answer
 //! ```
 //!
-//! Exact and approximate executors are interchangeable behind the
-//! [`Execute`] trait. The previous single-table entry point, [`FastFrame`],
-//! remains as a deprecated shim over a one-table session for one release.
+//! Every approximate query runs through one OptStop loop and one
+//! batch-at-a-time scan pipeline: blocking, snapshot-collecting and
+//! streaming execution differ only in whether a per-round observer is
+//! attached. [`PreparedQuery::execute_exact`] runs the exact full-scan
+//! baseline.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -78,9 +80,7 @@
 pub mod config;
 pub mod error;
 pub mod exact;
-pub mod execute;
 pub mod executor;
-pub mod frame;
 pub mod metrics;
 pub(crate) mod parallel;
 pub mod progressive;
@@ -92,9 +92,6 @@ pub mod view;
 
 pub use config::{EngineConfig, EngineConfigBuilder, SamplingStrategy};
 pub use error::{EngineError, EngineResult};
-pub use execute::{ApproxExecutor, ExactExecutor, Execute};
-#[allow(deprecated)]
-pub use frame::FastFrame;
 pub use metrics::{ExecMetrics, QueryMetrics};
 pub use progressive::{
     Budget, CancellationReason, GroupProgress, ProgressiveResult, RoundControl, Snapshot,
@@ -107,9 +104,6 @@ pub use session::{PreparedQuery, QueryBuilder, Session, TableOptions};
 pub mod prelude {
     pub use crate::config::{EngineConfig, EngineConfigBuilder, SamplingStrategy};
     pub use crate::error::{EngineError, EngineResult};
-    pub use crate::execute::{ApproxExecutor, ExactExecutor, Execute};
-    #[allow(deprecated)]
-    pub use crate::frame::FastFrame;
     pub use crate::metrics::{ExecMetrics, QueryMetrics};
     pub use crate::progressive::{
         Budget, CancellationReason, GroupProgress, ProgressiveResult, RoundControl, Snapshot,

@@ -24,8 +24,7 @@ pub struct ExecMetrics {
     /// Rows that matched the predicate and were routed to an aggregate view.
     pub rows_matched: u64,
     /// Rows that survived the predicate filter, before group routing — the
-    /// selection-vector length on the vectorized path, the per-row
-    /// predicate-pass count on the scalar path. Always `>= rows_matched`
+    /// summed selection-vector lengths. Always `>= rows_matched`
     /// (selected rows whose group is absent or whose target expression has
     /// no value do not match) and `<= rows_scanned` — the decoded-vs-
     /// selected funnel of the batch pipeline.

@@ -23,38 +23,26 @@
 //! `crossbeam::thread::scope` and fed rounds through channels), so per-round
 //! overhead is a handful of channel operations, not thread spawns.
 //!
-//! ## Batch (vectorized) execution
+//! ## Batch execution
 //!
-//! Within a partition, each block is processed by one of two interchangeable
-//! inner loops, selected by [`EngineConfig::vectorize`]:
+//! Within a partition, each block is read through projection pushdown
+//! ([`BlockSource::read_block_projected`] decodes only the columns the query
+//! references), its predicate is evaluated as a columnar filter kernel
+//! producing a [`SelectionVector`], the selected rows are partitioned by
+//! group id once, and every touched aggregate view is fed one contiguous
+//! batch of target values per block ([`MeanEstimator::observe_batch`] — a
+//! single virtual dispatch per (block, view) pair).
 //!
-//! * the **batch path** (default) reads the block through projection
-//!   pushdown ([`BlockSource::read_block_projected`] decodes only the
-//!   columns the query references), evaluates the predicate as a columnar
-//!   filter kernel producing a [`SelectionVector`], partitions the selected
-//!   rows by group id once, and feeds every touched aggregate view one
-//!   contiguous batch of target values per block
-//!   ([`MeanEstimator::observe_batch`] — a single virtual dispatch per
-//!   (block, view) pair);
-//! * the **scalar path** walks rows one at a time — predicate tree walk,
-//!   per-row group lookup, one `observe` per value — exactly as the
-//!   pre-vectorization engine did, and is kept as a differential-testing
-//!   oracle.
+//! Each view receives its values in ascending row order, so the
+//! accumulated estimator states are **bit-for-bit identical** to a
+//! row-at-a-time scan's. This module's tests diff [`scan_partition`]
+//! against such a scalar reference loop, on both backings and for every
+//! bounder kind.
 //!
-//! Both paths feed each view its values in ascending row order, so the
-//! accumulated estimator states — and every estimate and CI bound derived
-//! from them — are **bit-for-bit identical** between the two, on either
-//! backing, at any thread count. `tests/vectorized.rs` asserts this
-//! property over random queries.
+//! Because reads are projected, a segment-backed scan CRC-checks only the
+//! chunks of columns the query references: corruption confined to an
+//! unreferenced column never affects an approximate query.
 //!
-//! One deliberate carve-out on the *error* path: projection pushdown means
-//! a segment-backed batch scan never reads — and therefore never
-//! CRC-checks — chunks of columns the query does not reference, so
-//! corruption confined to an unreferenced column fails the query only on
-//! the scalar (full-decode) path. Results of *successful* queries are
-//! unaffected.
-//!
-//! [`EngineConfig::vectorize`]: crate::config::EngineConfig::vectorize
 //! [`MeanEstimator::observe_batch`]:
 //!     fastframe_core::bounder::MeanEstimator::observe_batch
 //! [`BlockSource::read_block_projected`]:
@@ -109,14 +97,9 @@ pub(crate) struct ScanContext<'a> {
     pub lookup: &'a GroupLookup,
     /// Total number of aggregate views.
     pub num_views: usize,
-    /// Whether partitions scan with the vectorized batch kernels or the
-    /// scalar row-at-a-time oracle loop. Never changes results, only the
-    /// execution strategy.
-    pub vectorize: bool,
     /// Column indexes the query references (ascending), pushed down to the
-    /// block source so lazy backings decode only those chunks. `Some` only
-    /// on the batch path; the scalar oracle reads full blocks.
-    pub projection: Option<Vec<usize>>,
+    /// block source so lazy backings decode only those chunks.
+    pub projection: Vec<usize>,
 }
 
 /// One aggregate view's accumulation over one partition.
@@ -197,89 +180,19 @@ impl PartialViews {
     }
 }
 
-/// Scans one partition's blocks in block order, producing its partial.
-///
-/// Dispatches to the vectorized batch loop or the scalar oracle loop per
-/// [`ScanContext::vectorize`]; the two produce bit-identical partials.
+/// Scans one partition's blocks in block order, producing its partial:
+/// projected block reads, columnar predicate kernels into a
+/// [`SelectionVector`], one group-routing pass over the selected rows, and
+/// one `observe_batch` per (block, view) pair — each view's values in
+/// ascending row order.
 ///
 /// Blocks are obtained through the [`BlockSource`] read methods: a zero-copy
-/// view for in-memory scrambles, an on-demand (possibly projected) decode
-/// for segment readers. A read failure mid-scan (file truncated or rotted
+/// view for in-memory scrambles, an on-demand projected decode for segment
+/// readers. A read failure mid-scan (file truncated or rotted
 /// *after* open-time validation passed) stops the partition and is carried
 /// back in the partial; the coordinator fails the whole query with it, so
 /// callers get an `EngineResult::Err` instead of a crash.
 pub(crate) fn scan_partition(
-    ctx: &ScanContext<'_>,
-    index: usize,
-    blocks: &[BlockId],
-) -> PartitionPartial {
-    if ctx.vectorize {
-        scan_partition_batch(ctx, index, blocks)
-    } else {
-        scan_partition_scalar(ctx, index, blocks)
-    }
-}
-
-/// The row-at-a-time scan loop: predicate tree walk, group lookup and one
-/// estimator `observe` per row. Kept verbatim as the differential-testing
-/// oracle for the batch path.
-fn scan_partition_scalar(
-    ctx: &ScanContext<'_>,
-    index: usize,
-    blocks: &[BlockId],
-) -> PartitionPartial {
-    let mut views = PartialViews::new(ctx.num_views);
-    let mut scratch: Vec<u32> = Vec::with_capacity(4);
-    let mut exec = ExecMetrics::default();
-    let mut error = None;
-
-    for &block in blocks {
-        let block_ref = match ctx.source.read_block(block) {
-            Ok(b) => b,
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        };
-        let table = block_ref.table();
-        exec.record_block(block_ref.len() as u64);
-        for row in block_ref.rows() {
-            if !ctx.bound.predicate.matches(table, row) {
-                continue;
-            }
-            exec.record_selected(1);
-            let value = match ctx.aggregate {
-                AggregateFunction::Count => 1.0,
-                _ => match ctx.bound.target.evaluate(table, row) {
-                    Some(v) => v,
-                    None => continue,
-                },
-            };
-            if let Some(view_id) = ctx.lookup.view_of(table, row, &mut scratch) {
-                let (matched, estimator) = views.slot(view_id, ctx.bounder);
-                estimator.observe(value);
-                *matched += 1;
-                exec.record_matches(1);
-            }
-        }
-    }
-    exec.partitions = 1;
-
-    PartitionPartial {
-        index,
-        exec,
-        views: views.into_sorted(),
-        error,
-        panic: None,
-    }
-}
-
-/// The batch scan loop: projected block reads, columnar predicate kernels
-/// into a [`SelectionVector`], one group-routing pass over the selected
-/// rows, and one `observe_batch` per (block, view) pair — each view's
-/// values in ascending row order, so the accumulated state is bit-identical
-/// to the scalar loop's.
-fn scan_partition_batch(
     ctx: &ScanContext<'_>,
     index: usize,
     blocks: &[BlockId],
@@ -299,7 +212,7 @@ fn scan_partition_batch(
     for &block in blocks {
         let block_ref = match ctx
             .source
-            .read_block_projected(block, ctx.projection.as_deref())
+            .read_block_projected(block, Some(&ctx.projection))
         {
             Ok(b) => b,
             Err(e) => {
@@ -344,9 +257,8 @@ fn scan_partition_batch(
 /// Per-block gather strategy for the target expression's value of one
 /// selected row. Resolved once per block so the common cases — COUNT and a
 /// plain column target — read raw storage instead of re-walking the
-/// expression per row. Every variant returns exactly the value the scalar
-/// path's `BoundExpr::evaluate` would (integers widened to `f64` the same
-/// way), preserving bit-identity.
+/// expression per row. Every variant returns exactly the value
+/// `BoundExpr::evaluate` would (integers widened to `f64` the same way).
 enum ValueKernel<'a> {
     /// COUNT aggregates observe the constant 1 per matching row.
     One,
@@ -354,8 +266,7 @@ enum ValueKernel<'a> {
     Floats(&'a [f64]),
     /// Target is a raw `Int64` column, widened per value.
     Ints(&'a [i64]),
-    /// Composite expression: evaluated per selected row (same arithmetic,
-    /// same order as the scalar path).
+    /// Composite expression: evaluated per selected row.
     Expr(&'a BoundExpr),
 }
 
@@ -377,7 +288,7 @@ impl<'a> ValueKernel<'a> {
     }
 
     /// The target value of `row`, or `None` when the expression has no
-    /// value there (the scalar path skips such rows before routing).
+    /// value there (such rows are skipped before routing).
     #[inline]
     fn value(&self, table: &Table, row: usize) -> Option<f64> {
         match self {
@@ -397,7 +308,7 @@ impl<'a> ValueKernel<'a> {
 /// (view id indexes straight into a slot, allocated once per partition and
 /// reused across blocks). Above the limit the per-block dense sweep would
 /// dominate, so rows fall back to immediate per-row observation — identical
-/// results, same shape as the scalar loop.
+/// results.
 struct BatchRouter {
     /// Per-view value buffers for the block being routed (dense mode).
     buffers: Vec<Vec<f64>>,
@@ -430,7 +341,7 @@ impl BatchRouter {
         exec: &mut ExecMetrics,
     ) {
         if self.buffers.is_empty() {
-            // Sparse universe: observe per row, exactly like the scalar loop.
+            // Sparse universe: observe per row.
             for &r in sel.rows() {
                 let row = r as usize;
                 let Some(value) = kernel.value(table, row) else {
@@ -464,7 +375,7 @@ impl BatchRouter {
             } => {
                 // One columnar pass over the group column's codes; a code
                 // that maps to no view (or a non-categorical column, which
-                // the scalar path treats as "no group") routes nowhere.
+                // `GroupLookup::view_of` treats as "no group") routes nowhere.
                 if let Some(codes) = table.column_at(*column).category_codes() {
                     for &r in sel.rows() {
                         let row = r as usize;
@@ -663,6 +574,250 @@ pub(crate) fn with_round_executor<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastframe_core::bounder::BoundContext;
+    use fastframe_store::column::Column;
+    use fastframe_store::expr::Expr;
+    use fastframe_store::persist::{write_segment, SegmentReader};
+    use fastframe_store::predicate::Predicate;
+    use fastframe_store::scramble::Scramble;
+
+    use crate::executor::{bind_query, enumerate_groups};
+    use crate::query::AggQuery;
+
+    /// The row-at-a-time scan loop: predicate tree walk, group lookup and
+    /// one estimator `observe` per row — the differential-testing oracle for
+    /// [`scan_partition`].
+    fn scan_partition_reference(
+        ctx: &ScanContext<'_>,
+        index: usize,
+        blocks: &[BlockId],
+    ) -> PartitionPartial {
+        let mut views = PartialViews::new(ctx.num_views);
+        let mut scratch: Vec<u32> = Vec::with_capacity(4);
+        let mut exec = ExecMetrics::default();
+        let mut error = None;
+
+        for &block in blocks {
+            let block_ref = match ctx.source.read_block(block) {
+                Ok(b) => b,
+                Err(e) => {
+                    error = Some(e);
+                    break;
+                }
+            };
+            let table = block_ref.table();
+            exec.record_block(block_ref.len() as u64);
+            for row in block_ref.rows() {
+                if !ctx.bound.predicate.matches(table, row) {
+                    continue;
+                }
+                exec.record_selected(1);
+                let value = match ctx.aggregate {
+                    AggregateFunction::Count => 1.0,
+                    _ => match ctx.bound.target.evaluate(table, row) {
+                        Some(v) => v,
+                        None => continue,
+                    },
+                };
+                if let Some(view_id) = ctx.lookup.view_of(table, row, &mut scratch) {
+                    let (matched, estimator) = views.slot(view_id, ctx.bounder);
+                    estimator.observe(value);
+                    *matched += 1;
+                    exec.record_matches(1);
+                }
+            }
+        }
+        exec.partitions = 1;
+
+        PartitionPartial {
+            index,
+            exec,
+            views: views.into_sorted(),
+            error,
+            panic: None,
+        }
+    }
+
+    /// Columns for every kernel: a float target, an int target/filter
+    /// column, a group column and a second categorical for two-column
+    /// group-bys and categorical filters.
+    fn table(rows: usize) -> Table {
+        let group = |i: usize| ["alpha", "alpha", "beta", "gamma"][i % 4];
+        Table::new(vec![
+            Column::float(
+                "v",
+                (0..rows)
+                    .map(|i| {
+                        let base = [5.0, 5.0, 20.0, 40.0][i % 4];
+                        base + ((i * 2_654_435_761) % 1000) as f64 / 100.0 - 5.0
+                    })
+                    .collect(),
+            ),
+            Column::int("time", (0..rows).map(|i| 600 + (i as i64 % 1200)).collect()),
+            Column::categorical("g", &(0..rows).map(group).collect::<Vec<_>>()),
+            Column::categorical(
+                "flag",
+                &(0..rows)
+                    .map(|i| if i % 3 == 0 { "on" } else { "off" })
+                    .collect::<Vec<_>>(),
+            ),
+        ])
+        .unwrap()
+    }
+
+    /// Every leaf kernel and every boolean combinator, including nesting
+    /// under `Or` / `Not`.
+    fn predicate(idx: usize) -> Predicate {
+        match idx {
+            0 => Predicate::True,
+            1 => Predicate::cat_eq("flag", "on"),
+            2 => Predicate::num_gt("time", 1_000.0),
+            3 => Predicate::NumBetween {
+                column: "v".into(),
+                low: 3.0,
+                high: 30.0,
+            },
+            4 => Predicate::And(vec![
+                Predicate::cat_eq("flag", "off"),
+                Predicate::num_lt("time", 1_500.0),
+            ]),
+            5 => Predicate::Or(vec![
+                Predicate::cat_eq("g", "beta"),
+                Predicate::num_gt("v", 35.0),
+            ]),
+            _ => Predicate::Not(Box::new(Predicate::And(vec![
+                Predicate::cat_eq("flag", "on"),
+                Predicate::num_gt("time", 900.0),
+            ]))),
+        }
+    }
+
+    /// AVG / SUM over a float column, AVG over an int column, COUNT, and
+    /// AVG over a composite expression.
+    fn target_query(idx: usize) -> AggQuery {
+        let composite = Expr::lit(2.0)
+            .mul(Expr::col("v"))
+            .sub(Expr::lit(1.0))
+            .pow(2);
+        match idx {
+            0 => AggQuery::avg("q", Expr::col("v")),
+            1 => AggQuery::sum("q", Expr::col("v")),
+            2 => AggQuery::avg("q", Expr::col("time")),
+            3 => AggQuery::count("q"),
+            _ => AggQuery::avg("q", composite),
+        }
+        .build()
+    }
+
+    /// Asserts two partials are identical: index, counters, view ids, match
+    /// counts, and bitwise-equal estimator outputs under `bctx`.
+    fn assert_same_partial(
+        batch: &PartitionPartial,
+        reference: &PartitionPartial,
+        bctx: &BoundContext,
+        what: &str,
+    ) {
+        assert!(batch.error.is_none() && reference.error.is_none(), "{what}");
+        assert_eq!(batch.index, reference.index, "{what}: index");
+        assert_eq!(batch.exec, reference.exec, "{what}: ExecMetrics");
+        let ids = |p: &PartitionPartial| p.views.iter().map(|v| v.view).collect::<Vec<_>>();
+        assert_eq!(ids(batch), ids(reference), "{what}: view ids");
+        for (b, r) in batch.views.iter().zip(&reference.views) {
+            let (be, re) = (&b.estimator, &r.estimator);
+            let view = format!("{what}: view {}", b.view);
+            assert_eq!(b.matched, r.matched, "{view}: matched");
+            assert_eq!(be.count(), re.count(), "{view}: count");
+            assert_eq!(
+                be.estimate().map(f64::to_bits),
+                re.estimate().map(f64::to_bits),
+                "{view}: estimate"
+            );
+            assert_eq!(
+                be.lbound(bctx).to_bits(),
+                re.lbound(bctx).to_bits(),
+                "{view}: lbound"
+            );
+            assert_eq!(
+                be.rbound(bctx).to_bits(),
+                re.rbound(bctx).to_bits(),
+                "{view}: rbound"
+            );
+            let (bi, ri) = (be.interval(bctx), re.interval(bctx));
+            assert_eq!(
+                (bi.lo.to_bits(), bi.hi.to_bits()),
+                (ri.lo.to_bits(), ri.hi.to_bits()),
+                "{view}: interval"
+            );
+        }
+    }
+
+    /// The batch scan is bit-identical to the row-at-a-time reference for
+    /// every predicate shape × group-by (none, one, two columns) × target ×
+    /// bounder kind, over a scramble and the segment it was saved to, with
+    /// block lists that include the partial final block.
+    #[test]
+    fn batch_scan_matches_the_scalar_reference_bit_for_bit() {
+        let rows = 1_990; // 25-row blocks: the 80th block holds 15 rows.
+        let scramble = Scramble::build_with(&table(rows), 5, 25, 0.0).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "fastframe_parallel_oracle_{}.ffseg",
+            std::process::id()
+        ));
+        write_segment(&scramble, &path).unwrap();
+        let segment = SegmentReader::open(&path).unwrap();
+        let last = scramble.num_blocks() - 1;
+        let block_lists: [Vec<BlockId>; 2] = [
+            scramble.layout().blocks_from(61).collect(),
+            [7, last, 0, 40].map(BlockId).to_vec(),
+        ];
+        let groupings: [&[&str]; 3] = [&[], &["g"], &["g", "flag"]];
+
+        for (backing, source) in [
+            ("memory", &scramble as &dyn BlockSource),
+            ("segment", &segment),
+        ] {
+            for target in 0..5 {
+                for pred in 0..7 {
+                    for group_by in groupings {
+                        let mut query = target_query(target);
+                        query.filter = predicate(pred);
+                        query.group_by = group_by.iter().map(|c| c.to_string()).collect();
+                        let bound = bind_query(source, &query).unwrap();
+                        let (keys, views) = enumerate_groups(source, &bound.group_cols).unwrap();
+                        let lookup = GroupLookup::build(&bound.group_cols, source.schema(), views);
+                        let (a, b) = match query.aggregate {
+                            AggregateFunction::Count => (0.0, 1.0),
+                            _ => query.target.range_bounds(source.catalog()).unwrap(),
+                        };
+                        let bctx = BoundContext::new(a, b, rows as u64, 1e-6).unwrap();
+                        for bounder in BounderKind::ALL {
+                            let ctx = ScanContext {
+                                source,
+                                bound: &bound,
+                                aggregate: query.aggregate,
+                                bounder,
+                                lookup: &lookup,
+                                num_views: keys.len(),
+                                projection: bound.projection(),
+                            };
+                            for (i, blocks) in block_lists.iter().enumerate() {
+                                assert_same_partial(
+                                    &scan_partition(&ctx, i, blocks),
+                                    &scan_partition_reference(&ctx, i, blocks),
+                                    &bctx,
+                                    &format!(
+                                        "{backing} target={target} pred={pred} \
+                                         group_by={group_by:?} {bounder} list={i}"
+                                    ),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 
     #[test]
     fn partition_size_is_thread_count_independent() {

@@ -51,8 +51,7 @@ use fastframe_store::table::Table;
 use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
 use crate::exact::execute_exact;
-use crate::execute::Execute;
-use crate::executor::{execute_budgeted, execute_progressive, RoundObserver};
+use crate::executor::{run, RoundObserver};
 use crate::progressive::{Budget, ProgressiveResult, RoundControl, Snapshot};
 use crate::query::{AggQuery, AggQueryBuilder, AggregateFunction};
 use crate::result::QueryResult;
@@ -468,14 +467,6 @@ impl<'s> QueryBuilder<'s> {
         self.tune(|c| c.threads(threads))
     }
 
-    /// Pins batch (vectorized) execution on or off for this query (see
-    /// [`EngineConfig::effective_vectorize`]). Like the thread count, the
-    /// execution mode never changes results — the scalar path is the
-    /// bit-identical differential-testing oracle of the batch kernels.
-    pub fn vectorize(self, vectorize: bool) -> Self {
-        self.tune(|c| c.vectorize(vectorize))
-    }
-
     /// Tweaks the effective configuration through a builder seeded with the
     /// current one (the session defaults unless [`Self::config`] was called):
     /// `…​.tune(|c| c.delta(0.05).round_rows(10_000))`.
@@ -599,7 +590,8 @@ impl PreparedQuery<'_> {
     /// form of the progressive stream (no intermediate snapshots are
     /// materialized).
     pub fn execute(&self) -> EngineResult<QueryResult> {
-        execute_budgeted(self.source, &self.query, &self.config, &self.budget)
+        run(self.source, &self.query, &self.config, &self.budget, None)
+            .map(ProgressiveResult::into_result)
     }
 
     /// Executes the `Exact` baseline (full scan, degenerate intervals).
@@ -621,37 +613,19 @@ impl PreparedQuery<'_> {
         mut observer: impl FnMut(&Snapshot) -> RoundControl,
     ) -> EngineResult<ProgressiveResult> {
         let observer: &mut RoundObserver<'_> = &mut observer;
-        execute_progressive(
+        run(
             self.source,
             &self.query,
             &self.config,
             &self.budget,
-            observer,
+            Some(observer),
         )
     }
-
-    /// Runs the query through an arbitrary [`Execute`] implementation,
-    /// making exact and approximate executors interchangeable.
-    ///
-    /// The executor is self-contained: it runs with *its own*
-    /// configuration and budget (e.g. those of an
-    /// [`crate::execute::ApproxExecutor`]), not the ones attached to this
-    /// prepared query — use [`Self::execute`] for those.
-    pub fn execute_with(&self, executor: &dyn Execute) -> EngineResult<QueryResult> {
-        executor.execute(self.source, &self.query)
-    }
 }
-
-// Compatibility re-export: `FastFrame` lived in this module before the
-// session redesign; keep its old import path working for the same one
-// release as the shim itself.
-#[allow(deprecated)]
-pub use crate::frame::FastFrame;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute::{ApproxExecutor, ExactExecutor};
     use fastframe_core::bounder::BounderKind;
     use fastframe_store::column::Column;
 
@@ -817,27 +791,6 @@ mod tests {
             s.prepare("nope", &good),
             Err(EngineError::UnknownTable { .. })
         ));
-    }
-
-    #[test]
-    fn execute_with_makes_executors_interchangeable() {
-        let s = session();
-        let prepared = s
-            .query("flights")
-            .avg(Expr::col("delay"))
-            .group_by("airline")
-            .having_gt(5.0)
-            .build()
-            .unwrap();
-        let approx = prepared
-            .execute_with(&ApproxExecutor::new(s.defaults().clone()))
-            .unwrap();
-        let exact = prepared.execute_with(&ExactExecutor).unwrap();
-        let mut a = approx.selected_labels();
-        let mut e = exact.selected_labels();
-        a.sort();
-        e.sort();
-        assert_eq!(a, e);
     }
 
     #[test]

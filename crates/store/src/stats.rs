@@ -19,8 +19,7 @@ pub struct ScanStats {
     /// aggregate view).
     pub rows_matched: u64,
     /// Rows that survived the predicate filter, before group routing — the
-    /// total selection-vector length of the batch pipeline (the scalar path
-    /// counts the equivalent per-row predicate passes). Together with
+    /// total selection-vector length of the batch pipeline. Together with
     /// `rows_scanned` (rows decoded out of fetched blocks) this exposes the
     /// decoded-vs-selected funnel; `rows_selected >= rows_matched`.
     pub rows_selected: u64,

@@ -6,7 +6,9 @@
 //!   block layout, equal catalog bounds, and equal zone maps / bitmap
 //!   indexes;
 //! * **corruption** — truncated footers, flipped metadata bytes and flipped
-//!   data bytes all fail loudly (`StoreError::Corrupt`), never silently;
+//!   data bytes all fail loudly (`StoreError::Corrupt`), never silently —
+//!   except that rot confined to a column an approximate query does not
+//!   reference is never read, so that query's answer is unchanged;
 //! * **acceptance** — a query executed against a `SegmentReader`-backed
 //!   session table returns bit-identical estimates and CI bounds and
 //!   identical `ScanStats` (fetched *and* skipped) to the same query on the
@@ -355,7 +357,7 @@ fn mid_scan_corruption_is_an_error_not_a_panic() {
     let path = temp_path("midscan");
     write_segment(&scramble, &path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[40] ^= 0x20; // inside block 0's chunks
+    bytes[40] ^= 0x20; // inside block 0's chunk of column `v` (bytes 16..216)
     std::fs::write(&path, &bytes).unwrap();
 
     let mut session = Session::new();
@@ -378,7 +380,37 @@ fn mid_scan_corruption_is_an_error_not_a_panic() {
             Err(EngineError::Store(StoreError::Corrupt { .. }))
         ));
     }
+
+    // Rot confined to a column the query does not reference: projected
+    // reads never touch (or CRC-check) that chunk, so an approximate query
+    // over the other columns answers exactly as on the clean file. The
+    // exact baseline decodes full blocks and still reports the corruption.
+    let clean_path = temp_path("midscan_clean");
+    write_segment(&scramble, &clean_path).unwrap();
+    session.open_table("clean", &clean_path).unwrap();
+    for threads in [1usize, 4] {
+        let run = |name: &str| {
+            session
+                .query(name)
+                .avg(Expr::col("time"))
+                .filter(Predicate::cat_eq("flag", "on"))
+                .group_by("g")
+                .absolute_width(0.0)
+                .tune(|c| c.threads(threads).start_block(0).round_rows(500))
+                .execute()
+                .unwrap_or_else(|e| panic!("threads={threads}: {name}: {e}"))
+        };
+        let rotted = run("t");
+        assert!(rotted.metrics.scan.blocks_fetched > 0);
+        assert_bit_identical(&run("clean"), &rotted);
+    }
+    let exact = session.query("t").avg(Expr::col("time")).execute_exact();
+    assert!(matches!(
+        exact,
+        Err(EngineError::Store(StoreError::Corrupt { .. }))
+    ));
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&clean_path).ok();
 }
 
 #[test]

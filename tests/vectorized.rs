@@ -1,10 +1,11 @@
-//! Differential tests for the vectorized batch execution pipeline.
+//! End-to-end determinism tests for the batch execution pipeline.
 //!
-//! The engine executes every scan through one of two interchangeable inner
-//! loops: the **batch path** (columnar predicate kernels over selection
-//! vectors, projection pushdown, per-view `observe_batch`) and the
-//! **scalar path** (row-at-a-time, kept as the oracle). The contract is
-//! that the choice is invisible in every observable output:
+//! Every scan runs through one pipeline: columnar predicate kernels over
+//! selection vectors, projection pushdown, per-view `observe_batch`. Its
+//! bit-identity with a row-at-a-time scan is checked at the partition, by
+//! the reference-loop oracle in the engine's `parallel` module. These tests
+//! check the end-to-end contract on top of it: the backing and the thread
+//! count are invisible in every observable output —
 //!
 //! * per-group estimates and CI bounds **bit-for-bit** identical,
 //! * identical `ScanStats` (blocks fetched/skipped, rows scanned, rows
@@ -12,13 +13,8 @@
 //! * identical group order, selections and convergence,
 //!
 //! for random predicates × sampling strategies × group-bys × aggregates,
-//! at `threads = 1` and `threads = 4`, on both the in-memory and the
-//! segment backing. The property test below asserts exactly that.
-//!
-//! Known carve-out (documented in `docs/EXECUTION.md`): on the *error*
-//! path the modes may differ for a corrupt segment, because the batch
-//! path's projected reads never CRC-check chunks of columns the query
-//! does not reference.
+//! on the in-memory and the segment backing at `threads = 1` and
+//! `threads = 4`.
 
 use proptest::prelude::*;
 
@@ -110,7 +106,7 @@ fn predicate(idx: usize) -> Predicate {
     }
 }
 
-fn config(vectorize: bool, threads: usize, seed: u64, strategy: SamplingStrategy) -> EngineConfig {
+fn config(threads: usize, seed: u64, strategy: SamplingStrategy) -> EngineConfig {
     EngineConfig::builder()
         .bounder(BounderKind::BernsteinRangeTrim)
         .strategy(strategy)
@@ -118,13 +114,16 @@ fn config(vectorize: bool, threads: usize, seed: u64, strategy: SamplingStrategy
         .round_rows(700)
         .seed(seed)
         .threads(threads)
-        .vectorize(vectorize)
         .build()
 }
 
-/// Bit-level identity over everything the vectorize-is-invisible contract
-/// covers: group order, estimate/CI bits, samples, selections, convergence
-/// and the full `ScanStats` (which now includes `rows_selected`).
+/// The (backing, threads) cells each compared with the in-memory
+/// single-threaded run.
+const OTHER_CELLS: [(&str, usize); 3] = [("mem", 4), ("disk", 1), ("disk", 4)];
+
+/// Bit-level identity over everything the determinism contract covers:
+/// group order, estimate/CI bits, samples, selections, convergence and the
+/// full `ScanStats` (which includes `rows_selected`).
 fn assert_identical(a: &QueryResult, b: &QueryResult, what: &str) {
     assert_eq!(a.groups.len(), b.groups.len(), "{what}: group count");
     for (ga, gb) in a.groups.iter().zip(&b.groups) {
@@ -163,10 +162,10 @@ fn assert_identical(a: &QueryResult, b: &QueryResult, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The headline invariant: for random queries, the vectorized path is
-    /// bit-identical to the scalar oracle — per backing, per thread count.
+    /// The headline invariant: for random queries, every backing × thread
+    /// count cell is bit-identical to the in-memory single-threaded run.
     #[test]
-    fn vectorized_equals_scalar_bit_for_bit(
+    fn backings_and_thread_counts_agree_bit_for_bit(
         seed in 0u64..1_000,
         strategy_idx in 0usize..3,
         pred_idx in 0usize..7,
@@ -176,7 +175,7 @@ proptest! {
         let path = temp_path(&format!("prop_{seed}_{strategy_idx}_{pred_idx}_{agg}_{grouping}"));
         let s = dual_backing_session(5_000, &path);
         let strategy = SamplingStrategy::ALL[strategy_idx];
-        let run = |table_name: &str, vectorize: bool, threads: usize| {
+        let run = |table_name: &str, threads: usize| {
             let mut q = s.query(table_name);
             q = match agg {
                 0 => q.avg(Expr::col("v")),
@@ -191,28 +190,25 @@ proptest! {
             };
             q.filter(predicate(pred_idx))
                 .relative_error(0.2)
-                .config(config(vectorize, threads, seed, strategy))
+                .config(config(threads, seed, strategy))
                 .execute()
                 .unwrap()
         };
-        for backing in ["mem", "disk"] {
-            for threads in [1usize, 4] {
-                let batch = run(backing, true, threads);
-                let scalar = run(backing, false, threads);
-                assert_identical(
-                    &batch,
-                    &scalar,
-                    &format!("{backing}/threads={threads}"),
-                );
-            }
+        let reference = run("mem", 1);
+        for (backing, threads) in OTHER_CELLS {
+            assert_identical(
+                &run(backing, threads),
+                &reference,
+                &format!("{backing}/threads={threads}"),
+            );
         }
         std::fs::remove_file(&path).ok();
     }
 }
 
 /// A composite-expression target (the Appendix-B shape) must also be
-/// bit-identical: the batch path evaluates composite expressions per
-/// selected row with the same arithmetic as the scalar path.
+/// bit-identical across backings and thread counts: composite expressions
+/// are evaluated per selected row rather than gathered from a column.
 #[test]
 fn composite_target_expression_is_bit_identical() {
     let path = temp_path("composite");
@@ -223,18 +219,23 @@ fn composite_target_expression_is_bit_identical() {
             .sub(Expr::lit(1.0))
             .pow(2)
     };
-    for backing in ["mem", "disk"] {
-        let run = |vectorize: bool| {
-            s.query(backing)
-                .avg(expr())
-                .filter(Predicate::num_gt("time", 800.0))
-                .group_by("g")
-                .relative_error(0.25)
-                .config(config(vectorize, 2, 11, SamplingStrategy::Scan))
-                .execute()
-                .unwrap()
-        };
-        assert_identical(&run(true), &run(false), backing);
+    let run = |backing: &str, threads: usize| {
+        s.query(backing)
+            .avg(expr())
+            .filter(Predicate::num_gt("time", 800.0))
+            .group_by("g")
+            .relative_error(0.25)
+            .config(config(threads, 11, SamplingStrategy::Scan))
+            .execute()
+            .unwrap()
+    };
+    let reference = run("mem", 1);
+    for (backing, threads) in OTHER_CELLS {
+        assert_identical(
+            &run(backing, threads),
+            &reference,
+            &format!("{backing}/threads={threads}"),
+        );
     }
     std::fs::remove_file(&path).ok();
 }
@@ -246,23 +247,23 @@ fn composite_target_expression_is_bit_identical() {
 fn full_pass_and_funnel_counters_agree() {
     let path = temp_path("fullpass");
     let s = dual_backing_session(4_000, &path);
-    for backing in ["mem", "disk"] {
-        let run = |vectorize: bool| {
-            s.query(backing)
-                .avg(Expr::col("v"))
-                .filter(Predicate::cat_eq("flag", "on"))
-                .group_by("g")
-                .absolute_width(0.0)
-                .config(config(vectorize, 4, 3, SamplingStrategy::Scan))
-                .execute()
-                .unwrap()
-        };
-        let batch = run(true);
-        let scalar = run(false);
-        assert_identical(&batch, &scalar, backing);
+    let run = |backing: &str, threads: usize| {
+        s.query(backing)
+            .avg(Expr::col("v"))
+            .filter(Predicate::cat_eq("flag", "on"))
+            .group_by("g")
+            .absolute_width(0.0)
+            .config(config(threads, 3, SamplingStrategy::Scan))
+            .execute()
+            .unwrap()
+    };
+    let reference = run("mem", 1);
+    for (backing, threads) in OTHER_CELLS {
+        let result = run(backing, threads);
+        assert_identical(&result, &reference, &format!("{backing}/threads={threads}"));
         // Funnel sanity: decoded ≥ selected ≥ matched, with a filter that
         // selects roughly a third of the rows.
-        let m = &batch.metrics;
+        let m = &result.metrics;
         assert!(m.rows_decoded() > 0);
         assert!(m.rows_selected() > 0);
         assert!(m.rows_selected() < m.rows_decoded());
@@ -273,15 +274,4 @@ fn full_pass_and_funnel_counters_agree() {
         assert_eq!(m.scan.rows_matched, m.scan.rows_selected);
     }
     std::fs::remove_file(&path).ok();
-}
-
-/// `FASTFRAME_VECTORIZE` resolution: an explicit config override always
-/// wins over the environment (the CI matrix relies on the env default,
-/// these tests rely on the override).
-#[test]
-fn explicit_vectorize_override_beats_environment() {
-    let on = EngineConfig::builder().vectorize(true).build();
-    let off = EngineConfig::builder().vectorize(false).build();
-    assert!(on.effective_vectorize());
-    assert!(!off.effective_vectorize());
 }
