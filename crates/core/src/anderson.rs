@@ -23,15 +23,53 @@
 //! consults `b`), the mirror image of Bernstein's profile — see Table 2.
 //! Unlike the other bounders it must retain the full sample, so its memory
 //! footprint is `O(m)`.
+//!
+//! Both bounds read the sample in ascending order. The state keeps it sorted
+//! incrementally: updates and merges append to an unsorted *fresh* tail in
+//! O(k), and [`ErrorBounder::settle`] — which the engine calls once per AVG
+//! or SUM view at each OptStop round boundary — sorts the tail and merges it
+//! into the *settled* ascending prefix in place. A round with `k` new values
+//! on a sample of `m` therefore costs O(m + k log k) instead of two full
+//! sorts, and a round with no new value costs no settle work. The settled order is
+//! exactly the stable sort of the arrival-order sample (equal values keep
+//! their arrival order), so the trimmed sums, and with them every bound, are
+//! the same bits whether or not `settle` ran. What remains per round is the
+//! two trimmed sums, O(m) each and sequential to keep their bits; the
+//! two-sided [`ErrorBounder::interval`] folds both in one pass.
 
-use crate::bounder::{BoundContext, ErrorBounder};
+use std::borrow::Cow;
 
-/// Streaming state for [`AndersonDkw`]: the observed sample (O(m) memory).
-#[derive(Debug, Clone, Default, PartialEq)]
+use crate::bounder::{BoundContext, Ci, ErrorBounder};
+
+/// The number of values `<= v` in the ascending, NaN-free `sorted`, found
+/// by galloping back from its end: O(log g) for the `g` values above `v`.
+fn count_at_most(sorted: &[f64], v: f64) -> usize {
+    let end = sorted.len();
+    let mut step = 1;
+    while step <= end && sorted[end - step] > v {
+        step *= 2;
+    }
+    // Every value from `end - step / 2` on is above `v`; the one at
+    // `end - step`, if any, is not.
+    let lo = end.saturating_sub(step);
+    let hi = end - step / 2;
+    lo + sorted[lo..hi].partition_point(|&x| x <= v)
+}
+
+/// Streaming state for [`AndersonDkw`]: the retained sample (O(m) memory).
+///
+/// The sample is held in two parts: a *settled* prefix in ascending order,
+/// and a *fresh* tail of the values folded in since the last
+/// [`Self::settle`], in arrival order.
+#[derive(Debug, Clone, Default)]
 pub struct AndersonState {
-    /// All observed values, in arrival order.
-    pub sample: Vec<f64>,
-    /// Running sum (for the point estimate).
+    /// The settled prefix (ascending; equal values in arrival order), then
+    /// the fresh tail. Equal values in the tail are in arrival order, which
+    /// is all the stable sort in `settle` needs.
+    sample: Vec<f64>,
+    /// Length of the settled prefix.
+    settled: usize,
+    /// Running sum (for the point estimate), in arrival order.
     sum: f64,
 }
 
@@ -45,12 +83,72 @@ impl AndersonState {
         }
     }
 
-    /// Merges another partial state into this one by concatenating the
-    /// retained samples (bounds are order-insensitive: they sort first) and
-    /// summing the running sums in merge order.
+    /// Merges another partial state into this one by appending its retained
+    /// values — settled prefix, then fresh tail — to this state's fresh
+    /// tail, and summing the running sums in merge order. The settled prefix
+    /// of `other` keeps its equal values in arrival order, so the next
+    /// [`Self::settle`] yields the stable sort of the concatenated arrival
+    /// orders, as if one scan had seen both partitions in turn.
     pub fn merge(&mut self, other: &AndersonState) {
         self.sample.extend_from_slice(&other.sample);
         self.sum += other.sum;
+    }
+
+    /// The retained values: the settled prefix in ascending order, then the
+    /// fresh tail in the order it was folded in.
+    pub fn sample(&self) -> &[f64] {
+        &self.sample
+    }
+
+    /// Sorts the fresh tail and merges it into the settled prefix, so the
+    /// whole sample is ascending. Costs O(m + k log k) for `m` settled and
+    /// `k` fresh values, and nothing when no value arrived since the last
+    /// call. On equal values the older one stays first.
+    ///
+    /// # Panics
+    ///
+    /// If the sample holds a NaN and at least one other value.
+    pub fn settle(&mut self) {
+        let settled = std::mem::replace(&mut self.settled, self.sample.len());
+        if settled == self.sample.len() {
+            return;
+        }
+        self.sample[settled..]
+            .sort_by(|x, y| x.partial_cmp(y).expect("sample values must not be NaN"));
+        if settled == 0 {
+            return;
+        }
+        // A sort of two or more values compares each of them, so a NaN among
+        // them has panicked already. A lone value on either side has never
+        // been compared: check it here, as the merge below compares plainly.
+        assert!(
+            !(self.sample[0].is_nan() || self.sample[settled].is_nan()),
+            "sample values must not be NaN"
+        );
+        // Merge from the back: each fresh value, largest first, moves the
+        // settled values greater than it up as one block, so every value
+        // moves at most once and those below the smallest fresh value never.
+        let fresh = self.sample[settled..].to_vec();
+        let (mut i, mut j) = (settled, fresh.len());
+        while j > 0 {
+            let v = fresh[j - 1];
+            let p = count_at_most(&self.sample[..i], v);
+            self.sample.copy_within(p..i, p + j);
+            j -= 1;
+            self.sample[p + j] = v;
+            i = p;
+        }
+    }
+
+    /// The whole sample in ascending order: the sample itself when it is
+    /// settled, else a settled copy.
+    fn sorted(&self) -> Cow<'_, [f64]> {
+        if self.settled == self.sample.len() {
+            return Cow::Borrowed(&self.sample);
+        }
+        let mut copy = self.clone();
+        copy.settle();
+        Cow::Owned(copy.sample)
     }
 }
 
@@ -78,27 +176,34 @@ impl AndersonDkw {
         ((1.0 / delta).ln() / (2.0 * m as f64)).sqrt()
     }
 
-    /// Core of Algorithm 3's `Lbound`: computes
-    /// `ε·a + (1−ε)·AVG({x ∈ sorted : F̂(x) ≤ 1 − ε})` for an already-sorted
-    /// sample.
-    fn lbound_sorted(sorted: &[f64], a: f64, delta: f64) -> f64 {
-        let m = sorted.len();
-        if m == 0 {
-            return a;
-        }
+    /// The band half-width and the number of values each bound keeps for a
+    /// sample of `m` at `delta`, or `None` when the bound is the range end
+    /// itself (no sample, `ε ≥ 1`, or nothing kept).
+    fn trim(m: usize, delta: f64) -> Option<(f64, usize)> {
         let eps = Self::band_epsilon(m as u64, delta);
         if eps >= 1.0 {
-            return a;
+            return None;
         }
         // F̂(x) for the i-th smallest (0-based) value is (i+1)/m; keep values
         // with F̂(x) <= 1 - eps, i.e. the smallest `keep` values where
         // keep = floor((1 - eps) * m).
         let keep = ((1.0 - eps) * m as f64).floor() as usize;
-        if keep == 0 {
-            return a;
+        (keep > 0).then_some((eps, keep))
+    }
+
+    /// `ε·edge + (1−ε)·AVG(kept)`, the kept values' sum given.
+    fn reallocate(eps: f64, edge: f64, kept_sum: f64, keep: usize) -> f64 {
+        eps * edge + (1.0 - eps) * (kept_sum / keep as f64)
+    }
+
+    /// Core of Algorithm 3's `Lbound`: computes
+    /// `ε·a + (1−ε)·AVG({x ∈ sorted : F̂(x) ≤ 1 − ε})` for an already-sorted
+    /// sample.
+    fn lbound_sorted(sorted: &[f64], a: f64, delta: f64) -> f64 {
+        match Self::trim(sorted.len(), delta) {
+            None => a,
+            Some((eps, keep)) => Self::reallocate(eps, a, sorted[..keep].iter().sum(), keep),
         }
-        let trimmed_avg = sorted[..keep].iter().sum::<f64>() / keep as f64;
-        eps * a + (1.0 - eps) * trimmed_avg
     }
 
     /// Direct form of Algorithm 3's `Rbound`.
@@ -110,19 +215,10 @@ impl AndersonDkw {
     /// bounds and makes the absence of PHOS (no dependence on `a`) explicit.
     fn rbound_sorted(sorted: &[f64], b: f64, delta: f64) -> f64 {
         let m = sorted.len();
-        if m == 0 {
-            return b;
+        match Self::trim(m, delta) {
+            None => b,
+            Some((eps, keep)) => Self::reallocate(eps, b, sorted[m - keep..].iter().sum(), keep),
         }
-        let eps = Self::band_epsilon(m as u64, delta);
-        if eps >= 1.0 {
-            return b;
-        }
-        let keep = ((1.0 - eps) * m as f64).floor() as usize;
-        if keep == 0 {
-            return b;
-        }
-        let trimmed_avg = sorted[m - keep..].iter().sum::<f64>() / keep as f64;
-        eps * b + (1.0 - eps) * trimmed_avg
     }
 }
 
@@ -143,22 +239,48 @@ impl ErrorBounder for AndersonDkw {
         state.push_batch(values);
     }
 
+    fn settle(&self, state: &mut Self::State) {
+        state.settle();
+    }
+
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
         if state.sample.is_empty() {
             return ctx.a;
         }
-        let mut sorted = state.sample.clone();
-        sorted.sort_by(|x, y| x.partial_cmp(y).expect("sample values must not be NaN"));
-        Self::lbound_sorted(&sorted, ctx.a, ctx.delta).max(ctx.a)
+        Self::lbound_sorted(&state.sorted(), ctx.a, ctx.delta).max(ctx.a)
     }
 
     fn rbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
         if state.sample.is_empty() {
             return ctx.b;
         }
-        let mut sorted = state.sample.clone();
-        sorted.sort_by(|x, y| x.partial_cmp(y).expect("sample values must not be NaN"));
-        Self::rbound_sorted(&sorted, ctx.b, ctx.delta).min(ctx.b)
+        Self::rbound_sorted(&state.sorted(), ctx.b, ctx.delta).min(ctx.b)
+    }
+
+    /// Both bounds of the two-sided interval run at `δ/2` on the same
+    /// sample, so they keep the same number of values from opposite ends.
+    /// One pass folds both trimmed sums, each in the order `lbound` and
+    /// `rbound` add it — the same bits as the two calls — while the two
+    /// independent chains of additions overlap instead of running in turn.
+    fn interval(&self, state: &Self::State, ctx: &BoundContext) -> Ci {
+        let sorted = state.sorted();
+        let m = sorted.len();
+        let (lo, hi) = match Self::trim(m, ctx.delta * 0.5) {
+            None => (ctx.a, ctx.b),
+            Some((eps, keep)) => {
+                // `-0.0` is the additive identity `Iterator::sum` starts from.
+                let (low, high) = sorted[..keep]
+                    .iter()
+                    .zip(&sorted[m - keep..])
+                    .fold((-0.0, -0.0), |(low, high), (x, y)| (low + x, high + y));
+                (
+                    Self::reallocate(eps, ctx.a, low, keep),
+                    Self::reallocate(eps, ctx.b, high, keep),
+                )
+            }
+        };
+        let (lo, hi) = (lo.max(ctx.a), hi.min(ctx.b));
+        Ci::new(lo.min(hi), hi.max(lo)).clamp_to(ctx.a, ctx.b)
     }
 
     fn observed(&self, state: &Self::State) -> u64 {
@@ -178,6 +300,9 @@ impl ErrorBounder for AndersonDkw {
 mod tests {
     use super::*;
     use crate::bounder::BoundContext;
+    use crate::partial::PartialState;
+    use crate::range_trim::RangeTrim;
+    use proptest::prelude::*;
 
     fn ctx(a: f64, b: f64, n: u64, delta: f64) -> BoundContext {
         BoundContext::new(a, b, n, delta).unwrap()
@@ -319,5 +444,254 @@ mod tests {
             "r = {r}, 100 - l = {}",
             100.0 - l
         );
+    }
+
+    #[test]
+    fn settle_merges_fresh_values_into_ascending_order() {
+        let b = AndersonDkw::new();
+        let mut st = feed(&[3.0, 1.0, 2.0]);
+        b.settle(&mut st);
+        assert_eq!(st.sample(), [1.0, 2.0, 3.0]);
+        b.update_batch(&mut st, &[2.0, 0.5, 9.0]);
+        assert_eq!(st.sample(), [1.0, 2.0, 3.0, 2.0, 0.5, 9.0]);
+        b.settle(&mut st);
+        assert_eq!(st.sample(), [0.5, 1.0, 2.0, 2.0, 3.0, 9.0]);
+        // Settling again with nothing new leaves the sample as it is.
+        b.settle(&mut st);
+        assert_eq!(st.sample().len(), 6);
+        assert!((b.estimate(&st).unwrap() - 17.5 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn settle_keeps_older_zeros_first() {
+        // -0.0 and +0.0 compare equal, so only a stable order tells them
+        // apart; the settled sample keeps them in arrival order.
+        let b = AndersonDkw::new();
+        let mut st = feed(&[0.0, 1.0]);
+        b.settle(&mut st);
+        b.update_batch(&mut st, &[-0.0, 0.0, -1.0]);
+        b.settle(&mut st);
+        let bits: Vec<u64> = st.sample().iter().map(|v| v.to_bits()).collect();
+        let expected: Vec<u64> = [-1.0, 0.0, -0.0, 0.0, 1.0]
+            .iter()
+            .map(|v: &f64| v.to_bits())
+            .collect();
+        assert_eq!(bits, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample values must not be NaN")]
+    fn settle_rejects_nan() {
+        let b = AndersonDkw::new();
+        let mut st = feed(&[1.0, 2.0]);
+        b.settle(&mut st);
+        b.update_state(&mut st, f64::NAN);
+        b.settle(&mut st);
+    }
+
+    /// The state before incremental settling, kept as the oracle: the
+    /// arrival-order sample, which every bound clones and stably sorts.
+    #[derive(Debug, Clone, Default)]
+    struct ReferenceState {
+        sample: Vec<f64>,
+        sum: f64,
+    }
+
+    impl PartialState for ReferenceState {
+        fn merge(&mut self, other: &Self) {
+            self.sample.extend_from_slice(&other.sample);
+            self.sum += other.sum;
+        }
+    }
+
+    /// Anderson/DKW with clone-and-sort bounds.
+    #[derive(Debug, Clone, Copy)]
+    struct ReferenceAnderson;
+
+    fn reference_sorted(sample: &[f64]) -> Vec<f64> {
+        let mut sorted = sample.to_vec();
+        sorted.sort_by(|x, y| x.partial_cmp(y).expect("sample values must not be NaN"));
+        sorted
+    }
+
+    impl ErrorBounder for ReferenceAnderson {
+        type State = ReferenceState;
+
+        fn init_state(&self) -> ReferenceState {
+            ReferenceState::default()
+        }
+
+        fn update_state(&self, state: &mut ReferenceState, v: f64) {
+            state.sample.push(v);
+            state.sum += v;
+        }
+
+        fn lbound(&self, state: &ReferenceState, ctx: &BoundContext) -> f64 {
+            if state.sample.is_empty() {
+                return ctx.a;
+            }
+            AndersonDkw::lbound_sorted(&reference_sorted(&state.sample), ctx.a, ctx.delta)
+                .max(ctx.a)
+        }
+
+        fn rbound(&self, state: &ReferenceState, ctx: &BoundContext) -> f64 {
+            if state.sample.is_empty() {
+                return ctx.b;
+            }
+            AndersonDkw::rbound_sorted(&reference_sorted(&state.sample), ctx.b, ctx.delta)
+                .min(ctx.b)
+        }
+
+        fn observed(&self, state: &ReferenceState) -> u64 {
+            state.sample.len() as u64
+        }
+
+        fn estimate(&self, state: &ReferenceState) -> Option<f64> {
+            (!state.sample.is_empty()).then(|| state.sum / state.sample.len() as f64)
+        }
+
+        fn name(&self) -> &'static str {
+            "anderson-dkw-reference"
+        }
+    }
+
+    /// Heavy ties, both zeros, and a few distinct values.
+    const PALETTE: [f64; 9] = [-0.0, 0.0, 0.0, -0.0, 1.0, 1.0, 2.5, -3.0, 4.0];
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// One `update_state` per value.
+        Observe(Vec<f64>),
+        /// One `update_batch`.
+        Batch(Vec<f64>),
+        /// Merges a partial fed `head`, optionally settled, then fed `tail`.
+        Merge {
+            head: Vec<f64>,
+            settle_head: bool,
+            tail: Vec<f64>,
+        },
+        Settle,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let values = || proptest::collection::vec(0..PALETTE.len(), 0..6);
+        (0usize..4, values(), values(), any::<bool>()).prop_map(|(kind, a, b, flag)| {
+            let a: Vec<f64> = a.into_iter().map(|i| PALETTE[i]).collect();
+            let b: Vec<f64> = b.into_iter().map(|i| PALETTE[i]).collect();
+            match kind {
+                0 => Op::Observe(a),
+                1 => Op::Batch(a),
+                2 => Op::Merge {
+                    head: a,
+                    settle_head: flag,
+                    tail: b,
+                },
+                _ => Op::Settle,
+            }
+        })
+    }
+
+    fn apply<B: ErrorBounder>(bounder: &B, state: &mut B::State, op: &Op) {
+        match op {
+            Op::Observe(values) => {
+                for &v in values {
+                    bounder.update_state(state, v);
+                }
+            }
+            Op::Batch(values) => bounder.update_batch(state, values),
+            Op::Merge {
+                head,
+                settle_head,
+                tail,
+            } => {
+                let mut other = bounder.init_state();
+                bounder.update_batch(&mut other, head);
+                if *settle_head {
+                    bounder.settle(&mut other);
+                }
+                bounder.update_batch(&mut other, tail);
+                bounder.merge_state(state, &other);
+            }
+            Op::Settle => bounder.settle(state),
+        }
+    }
+
+    /// Contexts whose range ends are signed zeros let a zero's sign reach
+    /// the bound; the deltas span ε ≥ 1 down to small ε for these sizes.
+    fn contexts() -> Vec<BoundContext> {
+        let mut out = Vec::new();
+        for (a, b) in [(-0.0, 4.0), (-4.0, 0.0), (-3.0, 4.0)] {
+            for n in [50, 100_000] {
+                for delta in [0.9, 0.2, 1e-3] {
+                    out.push(ctx(a, b, n, delta));
+                }
+            }
+        }
+        out
+    }
+
+    /// Runs `ops` through the bounder under test and the reference, and
+    /// checks every observable output bit for bit after each step.
+    fn check_against_reference<B: ErrorBounder, R: ErrorBounder>(
+        bounder: &B,
+        reference: &R,
+        ops: &[Op],
+    ) {
+        let contexts = contexts();
+        let mut state = bounder.init_state();
+        let mut oracle = reference.init_state();
+        for (step, op) in ops.iter().enumerate() {
+            apply(bounder, &mut state, op);
+            apply(reference, &mut oracle, op);
+            let at = || format!("{} after step {step} ({op:?}) of {ops:?}", bounder.name());
+            assert_eq!(
+                bounder.observed(&state),
+                reference.observed(&oracle),
+                "{}",
+                at()
+            );
+            assert_eq!(
+                bounder.estimate(&state).map(f64::to_bits),
+                reference.estimate(&oracle).map(f64::to_bits),
+                "estimate: {}",
+                at()
+            );
+            for c in &contexts {
+                let bits = |lo: f64, hi: f64| (lo.to_bits(), hi.to_bits());
+                assert_eq!(
+                    bits(bounder.lbound(&state, c), bounder.rbound(&state, c)),
+                    bits(reference.lbound(&oracle, c), reference.rbound(&oracle, c)),
+                    "bounds at {c:?}: {}",
+                    at()
+                );
+                let (ci, ref_ci) = (bounder.interval(&state, c), reference.interval(&oracle, c));
+                assert_eq!(
+                    bits(ci.lo, ci.hi),
+                    bits(ref_ci.lo, ref_ci.hi),
+                    "interval at {c:?}: {}",
+                    at()
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Settling is invisible: for any interleaving of updates, batches,
+        /// merges (of partials with and without a settled part) and
+        /// settles, the plain and the RangeTrim-wrapped bounder give the
+        /// same bits as clone-and-sort bounds over the arrival order.
+        #[test]
+        fn settled_bounds_match_clone_and_sort_bit_for_bit(
+            ops in proptest::collection::vec(op(), 1..24),
+        ) {
+            check_against_reference(&AndersonDkw::new(), &ReferenceAnderson, &ops);
+            check_against_reference(
+                &RangeTrim::new(AndersonDkw::new()),
+                &RangeTrim::new(ReferenceAnderson),
+                &ops,
+            );
+        }
     }
 }

@@ -222,6 +222,17 @@ pub trait ErrorBounder {
         crate::partial::PartialState::merge(state, other);
     }
 
+    /// Brings `state` into the form its bounds read fastest, after a batch of
+    /// updates and merges. The engine calls it once per AVG or SUM view at
+    /// each OptStop round boundary: after the round's partition partials
+    /// are merged, before the round's intervals are computed.
+    ///
+    /// Settling is a cost hint, never a numerical step: `lbound`, `rbound`,
+    /// `interval`, `estimate` and `observed` return the same bits whether or
+    /// not it ran. The default does nothing; [`AndersonDkw`] sorts the values
+    /// that arrived since the last call into its retained sample.
+    fn settle(&self, _state: &mut Self::State) {}
+
     /// Ì Confidence lower bound for `AVG(D)` with failure probability
     /// `< ctx.delta`.
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64;
@@ -277,6 +288,12 @@ pub trait MeanEstimator: Send + std::any::Any {
     /// accumulated over a later scan partition — into this one. Returns
     /// `false` (leaving `self` untouched) if the kinds differ.
     fn merge_from(&mut self, other: &dyn MeanEstimator) -> bool;
+
+    /// Settles the state at a round boundary (see [`ErrorBounder::settle`]):
+    /// the engine calls it once per AVG or SUM view per round, after the
+    /// round's merges and before its intervals. Bounds are the same bits
+    /// whether or not it ran; the default does nothing.
+    fn settle(&mut self) {}
 
     /// Upcast used by [`Self::merge_from`] implementations to recover the
     /// concrete estimator type.
@@ -348,6 +365,10 @@ impl<B: ErrorBounder + Send + 'static> MeanEstimator for Estimator<B> {
             }
             None => false,
         }
+    }
+
+    fn settle(&mut self) {
+        self.bounder.settle(&mut self.state);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -139,10 +139,23 @@ mod tests {
             crate::bounder::ErrorBounder::update_state(&bounder, &mut other, v);
         }
         PartialState::merge(&mut anderson, &other);
-        assert_eq!(anderson.sample, vec![5.0, 7.0]);
+        assert_eq!(anderson.sample(), [5.0, 7.0]);
         assert_eq!(
             crate::bounder::ErrorBounder::estimate(&bounder, &anderson),
             Some(6.0)
+        );
+
+        // Merging an empty state into a non-empty one keeps both values, and
+        // a later partial's values follow the earlier ones in merge order.
+        PartialState::merge(&mut anderson, &AndersonState::default());
+        assert_eq!(anderson.sample(), [5.0, 7.0]);
+        let mut later = AndersonState::default();
+        crate::bounder::ErrorBounder::update_state(&bounder, &mut later, 1.0);
+        PartialState::merge(&mut anderson, &later);
+        assert_eq!(anderson.sample(), [5.0, 7.0, 1.0]);
+        assert_eq!(
+            crate::bounder::ErrorBounder::estimate(&bounder, &anderson),
+            Some(13.0 / 3.0)
         );
     }
 

@@ -176,6 +176,11 @@ impl<B: ErrorBounder> ErrorBounder for RangeTrim<B> {
         state.observed_max = Some(b_prime);
     }
 
+    fn settle(&self, state: &mut Self::State) {
+        self.inner.settle(&mut state.left);
+        self.inner.settle(&mut state.right);
+    }
+
     fn lbound(&self, state: &Self::State, ctx: &BoundContext) -> f64 {
         match state.observed_max {
             None => ctx.a,

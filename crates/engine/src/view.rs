@@ -137,7 +137,9 @@ impl AggregateView {
     }
 
     /// Recomputes this view's intervals at the end of an OptStop round and
-    /// returns a snapshot for stopping-condition evaluation.
+    /// returns a snapshot for stopping-condition evaluation. For AVG and SUM
+    /// it first settles the estimator (see
+    /// [`MeanEstimator::settle`]), so the bounds read a settled state.
     ///
     /// * `rows_scanned` — total rows read from fetched blocks so far (the
     ///   `r` of Lemma 5; rows in skipped blocks are excluded, which can only
@@ -155,6 +157,11 @@ impl AggregateView {
         round_delta: f64,
         alpha: f64,
     ) -> CoreResult<GroupSnapshot> {
+        // The round's partials are all merged: settle the estimator once,
+        // before its interval is read. COUNT never reads it.
+        if aggregate != AggregateFunction::Count {
+            self.estimator.settle();
+        }
         let (agg_ci, count_ci) =
             self.intervals(aggregate, rows_scanned, scramble_rows, round_delta, alpha)?;
         let agg_running = self.running_agg.update(agg_ci);

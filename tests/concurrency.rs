@@ -67,8 +67,17 @@ fn session(rows: usize) -> Session {
 }
 
 fn config(threads: usize, seed: u64, strategy: SamplingStrategy) -> EngineConfig {
+    config_with(BounderKind::BernsteinRangeTrim, threads, seed, strategy)
+}
+
+fn config_with(
+    bounder: BounderKind,
+    threads: usize,
+    seed: u64,
+    strategy: SamplingStrategy,
+) -> EngineConfig {
     EngineConfig::builder()
-        .bounder(BounderKind::BernsteinRangeTrim)
+        .bounder(bounder)
         .strategy(strategy)
         .delta(1e-9)
         .round_rows(500)
@@ -113,9 +122,11 @@ fn assert_exec_consistent(r: &QueryResult) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Determinism is a hard invariant: for random queries and seeds,
-    /// `threads=1` and `threads=4` produce identical per-group estimates,
-    /// CI bounds and rows_scanned.
+    /// Determinism is a hard invariant: for random queries, seeds and
+    /// bounders, `threads=1` and `threads=4` produce identical per-group
+    /// estimates, CI bounds and rows_scanned. The Anderson/DKW kinds settle
+    /// their retained samples once per round after the partition merges, so
+    /// drawing them here checks settling is invisible to the pool shape.
     #[test]
     fn thread_count_never_changes_results(
         seed in 0u64..1_000,
@@ -123,9 +134,11 @@ proptest! {
         agg in 0usize..3,
         grouped in any::<bool>(),
         filtered in any::<bool>(),
+        bounder_idx in 0usize..BounderKind::ALL.len(),
     ) {
         let s = session(6_000);
         let strategy = SamplingStrategy::ALL[strategy_idx];
+        let bounder = BounderKind::ALL[bounder_idx];
         let run = |threads: usize| {
             let mut q = s.query(TABLE);
             q = match agg {
@@ -140,7 +153,7 @@ proptest! {
                 q = q.filter(Predicate::cat_eq("flag", "on"));
             }
             q.relative_error(0.2)
-                .config(config(threads, seed, strategy))
+                .config(config_with(bounder, threads, seed, strategy))
                 .execute()
                 .unwrap()
         };

@@ -107,8 +107,17 @@ fn predicate(idx: usize) -> Predicate {
 }
 
 fn config(threads: usize, seed: u64, strategy: SamplingStrategy) -> EngineConfig {
+    config_with(BounderKind::BernsteinRangeTrim, threads, seed, strategy)
+}
+
+fn config_with(
+    bounder: BounderKind,
+    threads: usize,
+    seed: u64,
+    strategy: SamplingStrategy,
+) -> EngineConfig {
     EngineConfig::builder()
-        .bounder(BounderKind::BernsteinRangeTrim)
+        .bounder(bounder)
         .strategy(strategy)
         .delta(1e-9)
         .round_rows(700)
@@ -164,6 +173,9 @@ proptest! {
 
     /// The headline invariant: for random queries, every backing × thread
     /// count cell is bit-identical to the in-memory single-threaded run.
+    /// The bounder is drawn too, so the Anderson/DKW kinds — whose retained
+    /// samples are settled once per round after the partition merges — run
+    /// across many merges and rounds in every cell.
     #[test]
     fn backings_and_thread_counts_agree_bit_for_bit(
         seed in 0u64..1_000,
@@ -171,10 +183,14 @@ proptest! {
         pred_idx in 0usize..7,
         agg in 0usize..3,
         grouping in 0usize..3,
+        bounder_idx in 0usize..BounderKind::ALL.len(),
     ) {
-        let path = temp_path(&format!("prop_{seed}_{strategy_idx}_{pred_idx}_{agg}_{grouping}"));
+        let path = temp_path(&format!(
+            "prop_{seed}_{strategy_idx}_{pred_idx}_{agg}_{grouping}_{bounder_idx}"
+        ));
         let s = dual_backing_session(5_000, &path);
         let strategy = SamplingStrategy::ALL[strategy_idx];
+        let bounder = BounderKind::ALL[bounder_idx];
         let run = |table_name: &str, threads: usize| {
             let mut q = s.query(table_name);
             q = match agg {
@@ -190,7 +206,7 @@ proptest! {
             };
             q.filter(predicate(pred_idx))
                 .relative_error(0.2)
-                .config(config(threads, seed, strategy))
+                .config(config_with(bounder, threads, seed, strategy))
                 .execute()
                 .unwrap()
         };
@@ -199,7 +215,7 @@ proptest! {
             assert_identical(
                 &run(backing, threads),
                 &reference,
-                &format!("{backing}/threads={threads}"),
+                &format!("{bounder}, {backing}/threads={threads}"),
             );
         }
         std::fs::remove_file(&path).ok();
